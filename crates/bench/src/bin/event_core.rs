@@ -1,49 +1,27 @@
 //! Event-core microbench: heap baseline vs hierarchical timer wheel.
 //!
-//! Two parts, both feeding `results/BENCH_events.json`:
+//! Drives each scheduler directly with an identical seeded
+//! timer-population workload (a large steady population of heartbeat-like
+//! periodic events, every pop rescheduling one push — the simulator's hot
+//! path with the dispatch cost stripped away) and reports events/sec for
+//! each plus the wheel-over-heap speedup to `results/BENCH_events.json`.
+//! The popped `(time, seq)` streams are digest-compared, so the numbers
+//! are only reported for provably identical behaviour.
 //!
-//! 1. **Differential digest gate.** Replays pinned chaos scenarios under
-//!    both schedulers with stream recording on, FNV-1a-digests every
-//!    observable surface (event stream, structured trace, flight-recorder
-//!    dump, telemetry registry JSON), and writes one digest line per seed
-//!    to `results/event_core_heap.trace` / `results/event_core_wheel.trace`.
-//!    The bin exits non-zero on any mismatch, and `scripts/verify.sh`
-//!    additionally `cmp`s the two files — the serial-vs-parallel
-//!    byte-identity gate applied to the scheduler axis.
-//!
-//! 2. **Raw throughput.** Drives each scheduler directly with an identical
-//!    seeded timer-population workload (a large steady population of
-//!    heartbeat-like periodic events, every pop rescheduling one push —
-//!    the simulator's hot path with the dispatch cost stripped away) and
-//!    reports events/sec for each plus the wheel-over-heap speedup. The
-//!    popped `(time, seq)` streams are digest-compared, so the numbers are
-//!    only reported for provably identical behaviour.
+//! That the two schedulers drive whole chaos runs identically (event
+//! stream, trace, flight recorder, telemetry registry) is proven by
+//! `tests/differential.rs`, which replays the pinned chaos seeds under
+//! both and compares the full streams.
 //!
 //! ```text
 //! event_core [--small]
 //! ```
 
-use std::path::PathBuf;
 use std::time::Instant;
 
-use phoenix_chaos::{flight_recorder_dump, run_schedule, ChaosConfig};
 use phoenix_sim::sched::{HeapScheduler, Scheduler, WheelScheduler};
-use phoenix_sim::{SchedulerKind, SimRng, SimTime};
+use phoenix_sim::{SimRng, SimTime};
 use phoenix_telemetry::{BenchReport, Json};
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // FNV-1a digests
@@ -65,79 +43,7 @@ fn fnv1a_u64(h: u64, v: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Part 1: differential digest gate over pinned chaos scenarios
-// ---------------------------------------------------------------------------
-
-struct Scenario {
-    name: &'static str,
-    seed: u64,
-    mask: u64,
-    cfg: ChaosConfig,
-}
-
-fn scenarios(small: bool) -> Vec<Scenario> {
-    let mut out = vec![
-        Scenario {
-            name: "lossy-shrunk-8:88",
-            seed: 8,
-            mask: 0x88,
-            cfg: ChaosConfig::small_lossy(20),
-        },
-        Scenario {
-            name: "nic-flap-4",
-            seed: 4,
-            mask: u64::MAX,
-            cfg: ChaosConfig::small_lossy(20),
-        },
-    ];
-    if !small {
-        out.push(Scenario {
-            name: "island-split-26",
-            seed: 26,
-            mask: u64::MAX,
-            cfg: ChaosConfig::small_partition(),
-        });
-        out.push(Scenario {
-            name: "lossy-178",
-            seed: 178,
-            mask: u64::MAX,
-            cfg: ChaosConfig::small_lossy(20),
-        });
-    }
-    out
-}
-
-/// One digest line per scenario: every observable surface of a run,
-/// hashed. Byte-identical runs produce byte-identical lines.
-fn digest_line(s: &Scenario, kind: SchedulerKind) -> String {
-    phoenix_telemetry::reset();
-    let mut cfg = s.cfg.clone();
-    cfg.scheduler = kind;
-    cfg.record_streams = true;
-    let out = run_schedule(s.seed, &cfg, s.mask, false);
-    let streams = out.streams.as_ref().expect("streams recorded");
-    let flight = flight_recorder_dump(usize::MAX);
-    let registry =
-        phoenix_telemetry::with(|reg| BenchReport::new("event_core").to_json(reg).render());
-    phoenix_telemetry::reset();
-    assert!(
-        out.violations.is_empty(),
-        "{} violated invariants under {kind:?}: {:?}",
-        s.name,
-        out.violations
-    );
-    let ev = fnv1a_bytes(FNV_OFFSET, streams.events.as_bytes());
-    let tr = fnv1a_bytes(FNV_OFFSET, streams.trace.as_bytes());
-    let fl = fnv1a_bytes(FNV_OFFSET, flight.as_bytes());
-    let rg = fnv1a_bytes(FNV_OFFSET, registry.as_bytes());
-    format!(
-        "{} seed={} mask={:x} virtual_ns={} events={:016x} trace={:016x} flight={:016x} registry={:016x}\n",
-        s.name, s.seed, s.mask, out.virtual_ns, ev, tr, fl, rg
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Part 2: raw scheduler throughput
+// Raw scheduler throughput
 // ---------------------------------------------------------------------------
 
 /// Draw a heartbeat-like interval: mostly short regular timers (the
@@ -198,31 +104,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let small = args.iter().any(|a| a == "--small");
 
-    // -- Part 1: differential byte-identity over pinned chaos scenarios --
-    let scens = scenarios(small);
-    let mut heap_lines = String::new();
-    let mut wheel_lines = String::new();
-    let mut identical = true;
-    for s in &scens {
-        let h = digest_line(s, SchedulerKind::Heap);
-        let w = digest_line(s, SchedulerKind::Wheel);
-        if h != w {
-            identical = false;
-            eprintln!("event_core: DIVERGENCE in {}:\n  heap:  {h}  wheel: {w}", s.name);
-        } else {
-            println!("  differential {:<18} identical ({})", s.name, h.split_whitespace().nth(4).unwrap_or(""));
-        }
-        heap_lines.push_str(&h);
-        wheel_lines.push_str(&w);
-    }
-    let root = workspace_root();
-    std::fs::create_dir_all(root.join("results")).expect("mkdir results");
-    std::fs::write(root.join("results/event_core_heap.trace"), &heap_lines)
-        .expect("write heap trace digests");
-    std::fs::write(root.join("results/event_core_wheel.trace"), &wheel_lines)
-        .expect("write wheel trace digests");
-
-    // -- Part 2: raw scheduler throughput --------------------------------
     let population = if small { 100_000 } else { 200_000 };
     let ops: u64 = if small { 2_000_000 } else { 8_000_000 };
     let (heap_wall, heap_digest) =
@@ -251,25 +132,16 @@ fn main() {
         .set("ops", Json::Num(ops as f64))
         .set("heap_events_per_sec", Json::Num(heap_eps.round()))
         .set("wheel_events_per_sec", Json::Num(wheel_eps.round()))
-        .set("speedup", Json::Num((speedup * 100.0).round() / 100.0))
-        .set("identical", Json::Bool(identical))
-        .set(
-            "differential_scenarios",
-            Json::Arr(scens.iter().map(|s| Json::str(s.name)).collect()),
-        );
+        .set("speedup", Json::Num((speedup * 100.0).round() / 100.0));
     phoenix_telemetry::reset();
     let mut rep = BenchReport::new("event_core");
     rep.section("event_core", summary);
     let path = phoenix_telemetry::with(|reg| {
-        rep.write_to(reg, root.join("results/BENCH_events.json"))
+        rep.write_to(reg, phoenix_telemetry::workspace_root().join("results/BENCH_events.json"))
             .expect("write BENCH_events.json")
     });
     println!("report written: {}", path.display());
 
-    if !identical {
-        eprintln!("event_core: scheduler streams diverged — determinism gate failed");
-        std::process::exit(1);
-    }
     if speedup < 1.2 {
         eprintln!(
             "event_core: wheel speedup x{speedup:.2} below the x1.2 floor — \

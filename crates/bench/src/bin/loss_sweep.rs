@@ -21,7 +21,7 @@
 //! `scripts/verify.sh` gate on it.
 //!
 //! All `(rate, seed)` runs execute through the parallel sweep runner
-//! (`phoenix_bench::sweep`): one registry shard per run, shards merged in
+//! (`phoenix_chaos::sweep`): one registry shard per run, shards merged in
 //! work-item order, so the report is byte-identical to `--serial` for the
 //! same seed set (verify.sh diffs the two). Wall-clock and thread counts
 //! go to stdout only.
@@ -30,28 +30,12 @@
 //! loss_sweep [--small] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
-use phoenix_bench::sweep::run_sweep;
+use phoenix_chaos::sweep::run_sweep;
 use phoenix_kernel::boot::boot_cluster_with_net;
 use phoenix_kernel::KernelParams;
 use phoenix_proto::{ClusterTopology, KernelMsg};
 use phoenix_sim::{FaultTarget, NetParams, SimDuration, TraceEvent, World};
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 fn boot(seed: u64, loss_permille: u16) -> (World<KernelMsg>, phoenix_kernel::PhoenixCluster) {
     let topo = ClusterTopology::uniform(3, 5, 1);
@@ -271,7 +255,10 @@ fn main() {
     // item order), not just the last run's — and is identical either way
     // the sweep was scheduled.
     let path = rep
-        .write_to(&outcome.merged, workspace_root().join("results/BENCH_loss.json"))
+        .write_to(
+            &outcome.merged,
+            phoenix_telemetry::workspace_root().join("results/BENCH_loss.json"),
+        )
         .expect("write BENCH_loss.json");
     println!("report written: {}", path.display());
 

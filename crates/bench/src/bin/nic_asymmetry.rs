@@ -23,7 +23,7 @@
 //! gate on it.
 //!
 //! All `(rate, seed)` runs execute through the parallel sweep runner
-//! (`phoenix_bench::sweep`) with per-run registry shards merged in
+//! (`phoenix_chaos::sweep`) with per-run registry shards merged in
 //! work-item order; `--serial` runs the same items on one thread and
 //! produces a byte-identical report.
 //!
@@ -31,28 +31,12 @@
 //! nic_asymmetry [--small] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
-use phoenix_bench::sweep::run_sweep;
+use phoenix_chaos::sweep::run_sweep;
 use phoenix_kernel::boot::boot_cluster_with_net;
 use phoenix_kernel::KernelParams;
 use phoenix_proto::{ClusterTopology, KernelMsg};
 use phoenix_sim::{FaultTarget, NetParams, NicId, SimDuration, TraceEvent, World};
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 fn boot(seed: u64, nic0_permille: u16) -> (World<KernelMsg>, phoenix_kernel::PhoenixCluster) {
     let topo = ClusterTopology::uniform(3, 5, 1);
@@ -254,7 +238,10 @@ fn main() {
     rep.section("nic", summary);
     rep.section("nic_curve", Json::Arr(curve));
     let path = rep
-        .write_to(&outcome.merged, workspace_root().join("results/BENCH_nic.json"))
+        .write_to(
+            &outcome.merged,
+            phoenix_telemetry::workspace_root().join("results/BENCH_nic.json"),
+        )
         .expect("write BENCH_nic.json");
     println!("report written: {}", path.display());
 

@@ -29,30 +29,14 @@
 //! partition_sweep [--small] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
-use phoenix_bench::sweep::run_sweep;
+use phoenix_chaos::sweep::run_sweep;
+use phoenix_chaos::{live_gsds, roles_converged};
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::config::ConfigService;
-use phoenix_kernel::group::Gsd;
 use phoenix_kernel::{ClientHandle, KernelParams, PhoenixCluster};
-use phoenix_proto::{ClusterTopology, KernelMsg, RequestId};
-use phoenix_sim::{Fault, NodeId, Pid, SimDuration, World};
+use phoenix_proto::{ClusterTopology, KernelMsg, PartitionId, RequestId};
+use phoenix_sim::{Fault, SimDuration, World};
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
     boot_and_stabilize(
@@ -60,38 +44,6 @@ fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
         KernelParams::fast_partition(),
         seed,
     )
-}
-
-/// Bitmask of every node belonging to the given topology partition.
-fn island_mask(cluster: &PhoenixCluster, part: usize) -> u64 {
-    let mut mask = 0u64;
-    for n in cluster.topology.partitions[part].all_nodes() {
-        mask |= 1u64 << n.0;
-    }
-    mask
-}
-
-/// Every live GSD in the world: (pid, partition it serves, role name).
-fn gsd_views(w: &World<KernelMsg>) -> Vec<(Pid, u32, &'static str)> {
-    let mut out = Vec::new();
-    for node in 0..w.node_count() {
-        for pid in w.pids_on(NodeId(node as u32)) {
-            if let Some(g) = w.actor_as::<Gsd>(pid) {
-                out.push((pid, g.partition_id().0, g.role_name()));
-            }
-        }
-    }
-    out
-}
-
-/// Post-heal steady state on the role level: one live GSD per partition,
-/// exactly one leader, nobody frozen.
-fn roles_converged(w: &World<KernelMsg>, cluster: &PhoenixCluster) -> bool {
-    let views = gsd_views(w);
-    let parts = cluster.topology.partitions.len();
-    (0..parts).all(|p| views.iter().filter(|(_, part, _)| *part == p as u32).count() == 1)
-        && views.iter().filter(|(_, _, r)| *r == "leader").count() == 1
-        && views.iter().all(|(_, _, r)| *r != "frozen")
 }
 
 /// Ask the config service for the directory and check it is complete,
@@ -131,18 +83,20 @@ fn episode(seed: u64, minority: usize) -> Episode {
     w.run_for(SimDuration::from_secs(3));
 
     let t_cut = w.now();
-    w.apply_fault(Fault::Partition { island: island_mask(&cluster, minority) });
+    w.apply_fault(Fault::Partition { island: cluster.topology.island_mask(&[minority]) });
     let mut freeze_ms = None;
     let mut double = 0u64;
     while w.now().since(t_cut) < SimDuration::from_secs(6) {
         w.run_for(SimDuration::from_millis(20));
-        let views = gsd_views(&w);
+        let gsds = live_gsds(&w);
         if freeze_ms.is_none()
-            && views.iter().any(|(_, p, r)| *p == minority as u32 && *r == "frozen")
+            && gsds
+                .iter()
+                .any(|g| g.partition == PartitionId(minority as u32) && g.role == "frozen")
         {
             freeze_ms = Some(w.now().since(t_cut).as_nanos() as f64 / 1e6);
         }
-        if views.iter().filter(|(_, _, r)| *r == "leader").count() > 1 {
+        if gsds.iter().filter(|g| g.role == "leader").count() > 1 {
             double += 1;
         }
     }
@@ -154,10 +108,10 @@ fn episode(seed: u64, minority: usize) -> Episode {
     let mut req = seed * 1_000;
     while w.now().since(t_heal) < SimDuration::from_secs(15) {
         w.run_for(SimDuration::from_millis(100));
-        if gsd_views(&w).iter().filter(|(_, _, r)| *r == "leader").count() > 1 {
+        if live_gsds(&w).iter().filter(|g| g.role == "leader").count() > 1 {
             double += 1;
         }
-        if converge_ms.is_none() && roles_converged(&w, &cluster) {
+        if converge_ms.is_none() && roles_converged(&w, &cluster.topology) {
             converge_ms = Some(w.now().since(t_heal).as_nanos() as f64 / 1e6);
         }
         if converge_ms.is_some() {
@@ -267,7 +221,10 @@ fn main() {
     rep.section("partition", summary);
     rep.section("episodes", Json::Arr(rows));
     let path = rep
-        .write_to(&outcome.merged, workspace_root().join("results/BENCH_partition.json"))
+        .write_to(
+            &outcome.merged,
+            phoenix_telemetry::workspace_root().join("results/BENCH_partition.json"),
+        )
         .expect("write BENCH_partition.json");
     println!("report written: {}", path.display());
 

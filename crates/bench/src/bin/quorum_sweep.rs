@@ -43,29 +43,13 @@
 //! quorum_sweep [--small] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
-use phoenix_bench::sweep::run_sweep;
+use phoenix_chaos::sweep::run_sweep;
+use phoenix_chaos::{live_gsds, roles_converged};
 use phoenix_kernel::boot::boot_and_stabilize;
-use phoenix_kernel::group::Gsd;
 use phoenix_kernel::{KernelParams, PhoenixCluster};
 use phoenix_proto::{ClusterTopology, KernelMsg, PartitionId};
-use phoenix_sim::{Fault, NodeId, Pid, SimDuration, World};
+use phoenix_sim::{Fault, NodeId, SimDuration, World};
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 /// The quorum profile on the even testbed: 4 partitions × 3 nodes, the
 /// witness designated away from the config partition (p1) so both split
@@ -84,40 +68,6 @@ fn quorum_params(adaptive: bool) -> KernelParams {
 
 fn boot(seed: u64, adaptive: bool) -> (World<KernelMsg>, PhoenixCluster) {
     boot_and_stabilize(ClusterTopology::uniform(4, 3, 1), quorum_params(adaptive), seed)
-}
-
-/// Bitmask of every node belonging to the given topology partitions.
-fn island_mask(cluster: &PhoenixCluster, parts: &[usize]) -> u64 {
-    let mut mask = 0u64;
-    for &part in parts {
-        for n in cluster.topology.partitions[part].all_nodes() {
-            mask |= 1u64 << n.0;
-        }
-    }
-    mask
-}
-
-/// Every live GSD: (pid, node, partition it serves, role name).
-fn gsd_views(w: &World<KernelMsg>) -> Vec<(Pid, u32, u32, &'static str)> {
-    let mut out = Vec::new();
-    for node in 0..w.node_count() {
-        for pid in w.pids_on(NodeId(node as u32)) {
-            if let Some(g) = w.actor_as::<Gsd>(pid) {
-                out.push((pid, node as u32, g.partition_id().0, g.role_name()));
-            }
-        }
-    }
-    out
-}
-
-/// Post-heal steady state: one live GSD per partition, exactly one
-/// leader, nobody frozen.
-fn roles_converged(w: &World<KernelMsg>, cluster: &PhoenixCluster) -> bool {
-    let views = gsd_views(w);
-    let parts = cluster.topology.partitions.len();
-    (0..parts).all(|p| views.iter().filter(|(_, _, part, _)| *part == p as u32).count() == 1)
-        && views.iter().filter(|(_, _, _, r)| *r == "leader").count() == 1
-        && views.iter().all(|(_, _, _, r)| *r != "frozen")
 }
 
 /// One even-split shape: which partitions are severed, and whether the
@@ -147,8 +97,8 @@ fn split_episode(seed: u64, shape: &Shape) -> SplitEpisode {
     let (mut w, cluster) = boot(seed, true);
     w.run_for(SimDuration::from_secs(3));
 
-    let mask = island_mask(&cluster, &shape.island_parts);
-    let on_island = |node: u32| (mask >> node) & 1 == 1;
+    let mask = cluster.topology.island_mask(&shape.island_parts);
+    let on_island = |node: NodeId| (mask >> node.0) & 1 == 1;
     let t_cut = w.now();
     w.apply_fault(Fault::Partition { island: mask });
 
@@ -163,33 +113,33 @@ fn split_episode(seed: u64, shape: &Shape) -> SplitEpisode {
     let grace = SimDuration::from_secs(5);
     while w.now().since(t_cut) < SimDuration::from_secs(8) {
         w.run_for(SimDuration::from_millis(20));
-        let views = gsd_views(&w);
-        let leaders = views.iter().filter(|(_, _, _, r)| *r == "leader").count();
+        let gsds = live_gsds(&w);
+        let leaders = gsds.iter().filter(|g| g.role == "leader").count();
         samples += 1;
         live_samples += (leaders >= 1) as u64;
         if leaders > 1 {
             double += 1;
         }
-        let losing_frozen = views
+        let losing_frozen = gsds
             .iter()
-            .filter(|(_, node, _, _)| on_island(*node) != shape.island_wins)
-            .all(|(_, _, _, r)| *r == "frozen");
+            .filter(|g| on_island(g.node) != shape.island_wins)
+            .all(|g| g.role == "frozen");
         if freeze_ms.is_none()
             && losing_frozen
-            && views.iter().any(|(_, node, _, _)| on_island(*node) != shape.island_wins)
+            && gsds.iter().any(|g| on_island(g.node) != shape.island_wins)
         {
             freeze_ms = Some(w.now().since(t_cut).as_nanos() as f64 / 1e6);
         }
-        let winning_leaders = views
+        let winning_leaders = gsds
             .iter()
-            .filter(|(_, node, _, r)| on_island(*node) == shape.island_wins && *r == "leader")
+            .filter(|g| on_island(g.node) == shape.island_wins && g.role == "leader")
             .count();
         if decision_ms.is_none() && losing_frozen && winning_leaders == 1 {
             decision_ms = Some(w.now().since(t_cut).as_nanos() as f64 / 1e6);
         }
         if w.now().since(t_cut) > grace
-            && !views.is_empty()
-            && views.iter().all(|(_, _, _, r)| *r == "frozen")
+            && !gsds.is_empty()
+            && gsds.iter().all(|g| g.role == "frozen")
         {
             both_frozen += 1;
         }
@@ -200,14 +150,13 @@ fn split_episode(seed: u64, shape: &Shape) -> SplitEpisode {
     let mut converge_ms = None;
     while w.now().since(t_heal) < SimDuration::from_secs(15) {
         w.run_for(SimDuration::from_millis(100));
-        let views = gsd_views(&w);
-        let leaders = views.iter().filter(|(_, _, _, r)| *r == "leader").count();
+        let leaders = live_gsds(&w).iter().filter(|g| g.role == "leader").count();
         samples += 1;
         live_samples += (leaders >= 1) as u64;
         if leaders > 1 {
             double += 1;
         }
-        if roles_converged(&w, &cluster) {
+        if roles_converged(&w, &cluster.topology) {
             converge_ms = Some(w.now().since(t_heal).as_nanos() as f64 / 1e6);
             break;
         }
@@ -233,8 +182,8 @@ struct TakeoverEpisode {
 fn takeover_episode(seed: u64, adaptive: bool) -> TakeoverEpisode {
     let (mut w, cluster) = boot(seed, adaptive);
     w.run_for(SimDuration::from_secs(3));
-    let victim = 2u32; // plain member: not leader (p0), not witness (p1)
-    let Some(&(pid, ..)) = gsd_views(&w).iter().find(|(_, _, p, _)| *p == victim) else {
+    let victim = PartitionId(2); // plain member: not leader (p0), not witness (p1)
+    let Some(pid) = live_gsds(&w).iter().find(|g| g.partition == victim).map(|g| g.pid) else {
         return TakeoverEpisode { takeover_ms: None };
     };
     let t_kill = w.now();
@@ -242,10 +191,8 @@ fn takeover_episode(seed: u64, adaptive: bool) -> TakeoverEpisode {
     let mut takeover_ms = None;
     while w.now().since(t_kill) < SimDuration::from_secs(45) {
         w.run_for(SimDuration::from_millis(50));
-        let replaced = gsd_views(&w)
-            .iter()
-            .any(|&(p, _, part, _)| part == victim && p != pid);
-        if replaced && roles_converged(&w, &cluster) {
+        let replaced = live_gsds(&w).iter().any(|g| g.partition == victim && g.pid != pid);
+        if replaced && roles_converged(&w, &cluster.topology) {
             takeover_ms = Some(w.now().since(t_kill).as_nanos() as f64 / 1e6);
             break;
         }
@@ -393,7 +340,7 @@ fn main() {
     rep.section("episodes", Json::Arr(rows));
     rep.section("takeover_ablation", Json::Arr(abl_rows));
     let path = rep
-        .write_to(&merged, workspace_root().join("results/BENCH_quorum.json"))
+        .write_to(&merged, phoenix_telemetry::workspace_root().join("results/BENCH_quorum.json"))
         .expect("write BENCH_quorum.json");
     println!("report written: {}", path.display());
 

@@ -46,31 +46,14 @@
 //! slow_sweep [--small] [--serial]
 //! ```
 
-use std::path::PathBuf;
-
-use phoenix_bench::sweep::run_sweep;
+use phoenix_chaos::sweep::run_sweep;
+use phoenix_chaos::{live_gsds, roles_converged};
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::group::Gsd;
 use phoenix_kernel::{KernelParams, PhoenixCluster};
 use phoenix_proto::{ClusterTopology, KernelMsg};
-use phoenix_sim::{
-    Diagnosis, Fault, FaultTarget, NodeId, Pid, SimDuration, SimTime, TraceEvent, World,
-};
+use phoenix_sim::{Diagnosis, Fault, FaultTarget, NodeId, SimDuration, SimTime, TraceEvent, World};
 use phoenix_telemetry::Json;
-
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        if let Ok(text) = std::fs::read_to_string(dir.join("Cargo.toml")) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
-}
 
 /// Same testbed as `chaos --slow`: 3 partitions × 5 nodes, fail-slow
 /// detector enabled on top of the fast fail-stop profile.
@@ -78,29 +61,12 @@ fn boot(seed: u64) -> (World<KernelMsg>, PhoenixCluster) {
     boot_and_stabilize(ClusterTopology::uniform(3, 5, 1), KernelParams::fast_slow(), seed)
 }
 
-/// Every live GSD: (pid, node, partition it serves, role name).
-fn gsd_views(w: &World<KernelMsg>) -> Vec<(Pid, u32, u32, &'static str)> {
-    let mut out = Vec::new();
-    for node in 0..w.node_count() {
-        for pid in w.pids_on(NodeId(node as u32)) {
-            if let Some(g) = w.actor_as::<Gsd>(pid) {
-                out.push((pid, node as u32, g.partition_id().0, g.role_name()));
-            }
-        }
-    }
-    out
-}
-
-/// Post-clear steady state: one live GSD per partition, exactly one
-/// leader, nobody frozen, and every live GSD's quarantine view empty.
+/// Post-clear steady state: roles converged and every live GSD's
+/// quarantine view empty.
 fn recovered(w: &World<KernelMsg>, cluster: &PhoenixCluster) -> bool {
-    let views = gsd_views(w);
-    let parts = cluster.topology.partitions.len();
-    (0..parts).all(|p| views.iter().filter(|(_, _, part, _)| *part == p as u32).count() == 1)
-        && views.iter().filter(|(_, _, _, r)| *r == "leader").count() == 1
-        && views.iter().all(|(_, _, _, r)| *r != "frozen")
-        && views.iter().all(|&(pid, ..)| {
-            w.actor_as::<Gsd>(pid).map(|g| g.quarantine_view().1.is_empty()).unwrap_or(true)
+    roles_converged(w, &cluster.topology)
+        && live_gsds(w).iter().all(|g| {
+            w.actor_as::<Gsd>(g.pid).map(|a| a.quarantine_view().1.is_empty()).unwrap_or(true)
         })
 }
 
@@ -203,9 +169,9 @@ fn episode(seed: u64, factor_permille: u16, shape: &Shape) -> Episode {
         }
     }
 
-    let relocated = gsd_views(&w)
+    let relocated = live_gsds(&w)
         .iter()
-        .any(|&(_, node, p, _)| p == shape.victim_part as u32 && node != victim.0);
+        .any(|g| g.partition.index() == shape.victim_part && g.node != victim);
 
     Episode {
         suspect_ms,
@@ -346,7 +312,7 @@ fn main() {
     rep.section("curve", Json::Arr(curve));
     rep.section("episodes", Json::Arr(rows));
     let path = rep
-        .write_to(&out.merged, workspace_root().join("results/BENCH_slow.json"))
+        .write_to(&out.merged, phoenix_telemetry::workspace_root().join("results/BENCH_slow.json"))
         .expect("write BENCH_slow.json");
     println!("report written: {}", path.display());
 

@@ -19,5 +19,4 @@ pub mod ft;
 pub mod pws_pbs;
 pub mod report;
 pub mod scale;
-pub mod sweep;
 pub mod timing;

@@ -33,6 +33,8 @@
 //!    full fault schedule leaks no message slots (the event-core analogue
 //!    of the telemetry-leak invariant).
 
+pub mod sweep;
+
 use std::fmt;
 
 use phoenix_kernel::group::{Gsd, Wd};
@@ -228,20 +230,12 @@ impl ChaosConfig {
         ChaosConfig {
             partitions: 8,
             nodes_per_partition: 17,
-            backups: 1,
             max_faults: 8,
             horizon: SimDuration::from_secs(120),
             settle_window: SimDuration::from_secs(70),
             settle_deadline: SimDuration::from_secs(1200),
             params: KernelParams::default(),
-            net: NetParams::default(),
-            loss_steps: false,
-            nic_flap_steps: false,
-            partition_steps: false,
-            quorum_steps: false,
-            slow_steps: false,
-            scheduler: SchedulerKind::default(),
-            record_streams: false,
+            ..ChaosConfig::small()
         }
     }
 
@@ -465,17 +459,9 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
                     chosen.push(p);
                 }
             }
-            let mut island = 0u64;
-            for &p in &chosen {
-                for n in topo.partitions[p].all_nodes() {
-                    if n.0 < 64 {
-                        island |= 1u64 << n.0;
-                    }
-                }
-            }
             steps.push(Step {
                 offset: at,
-                action: StepAction::Fault(Fault::Partition { island }),
+                action: StepAction::Fault(Fault::Partition { island: topo.island_mask(&chosen) }),
             });
             let hold = SimDuration::from_millis(prng.gen_range(4_000..8_000u64));
             steps.push(Step {
@@ -509,17 +495,9 @@ pub fn generate_schedule(seed: u64, cfg: &ChaosConfig, cluster: &PhoenixCluster)
                     chosen.push(p);
                 }
             }
-            let mut island = 0u64;
-            for &p in &chosen {
-                for n in topo.partitions[p].all_nodes() {
-                    if n.0 < 64 {
-                        island |= 1u64 << n.0;
-                    }
-                }
-            }
             steps.push(Step {
                 offset: at,
-                action: StepAction::Fault(Fault::Partition { island }),
+                action: StepAction::Fault(Fault::Partition { island: topo.island_mask(&chosen) }),
             });
             let hold = SimDuration::from_millis(qrng.gen_range(9_000..12_000u64));
             steps.push(Step {
@@ -1186,15 +1164,22 @@ fn sampled_split_brain_check(
 // Invariants
 // ---------------------------------------------------------------------------
 
-struct GsdView {
-    pid: Pid,
-    node: NodeId,
-    partition: PartitionId,
-    role: &'static str,
-    leader: Option<PartitionId>,
+/// One live GSD as the invariants see it.
+#[derive(Clone, Debug)]
+pub struct GsdView {
+    pub pid: Pid,
+    /// The node it runs on (after a takeover, not its home server).
+    pub node: NodeId,
+    /// The partition it serves.
+    pub partition: PartitionId,
+    /// `"leader"`, `"princess"`, `"member"`, `"orphan"` or `"frozen"`.
+    pub role: &'static str,
+    /// Which partition's GSD it believes leads the meta-group.
+    pub leader: Option<PartitionId>,
 }
 
-fn live_gsds(world: &World<KernelMsg>) -> Vec<GsdView> {
+/// Every live GSD in the world, in node order.
+pub fn live_gsds(world: &World<KernelMsg>) -> Vec<GsdView> {
     let mut out = Vec::new();
     for node in 0..world.node_count() {
         let node = NodeId(node as u32);
@@ -1211,6 +1196,18 @@ fn live_gsds(world: &World<KernelMsg>) -> Vec<GsdView> {
         }
     }
     out
+}
+
+/// Role-level steady state: one live GSD per partition of `topology`,
+/// exactly one meta-leader, nobody frozen.
+pub fn roles_converged(world: &World<KernelMsg>, topology: &ClusterTopology) -> bool {
+    let gsds = live_gsds(world);
+    topology
+        .partitions
+        .iter()
+        .all(|p| gsds.iter().filter(|g| g.partition == p.id).count() == 1)
+        && gsds.iter().filter(|g| g.role == "leader").count() == 1
+        && gsds.iter().all(|g| g.role != "frozen")
 }
 
 fn check_invariants(
@@ -1693,6 +1690,10 @@ pub fn shrink(seed: u64, cfg: &ChaosConfig, start_mask: u64, total_steps: usize)
             }
             let candidate = mask & !bit;
             runs += 1;
+            // Each candidate on a fresh registry: the takeover and
+            // telemetry-leak invariants read it, so a run must not see
+            // what the failing run (or an earlier candidate) left there.
+            let _shard = phoenix_telemetry::shard_begin();
             if run_schedule(seed, cfg, candidate, false).failed() {
                 mask = candidate;
                 improved = true;
@@ -1707,6 +1708,36 @@ pub fn shrink(seed: u64, cfg: &ChaosConfig, start_mask: u64, total_steps: usize)
         steps: mask.count_ones() as usize,
         runs,
     }
+}
+
+/// One seed of a chaos sweep.
+pub struct SeedRun {
+    pub seed: u64,
+    pub out: RunOutcome,
+    /// For a failing run: the shrunk schedule and the command that
+    /// replays it.
+    pub shrunk: Option<(ShrinkOutcome, String)>,
+}
+
+/// Run every seed's full schedule under `cfg` through [`sweep::run_sweep`]
+/// and shrink the failures. Each seed is one work item on its own
+/// telemetry shard, so the takeover and telemetry-leak invariants of one
+/// schedule never see another's registry, and the merged registry is the
+/// same on any number of threads. `mode_flag` is the `chaos` flag that
+/// selects `cfg`, for the replay commands.
+pub fn run_seeds(
+    seeds: &[u64],
+    cfg: &ChaosConfig,
+    mode_flag: &str,
+) -> sweep::SweepOutcome<SeedRun> {
+    sweep::run_sweep(seeds, false, |&seed| {
+        let out = run_schedule(seed, cfg, u64::MAX, false);
+        let shrunk = out.failed().then(|| {
+            let s = shrink(seed, cfg, full_mask(out.total_steps), out.total_steps);
+            (s, replay_command(seed, s.mask, out.total_steps, mode_flag))
+        });
+        SeedRun { seed, out, shrunk }
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -110,6 +110,27 @@ impl ClusterTopology {
     pub fn servers(&self) -> Vec<NodeId> {
         self.partitions.iter().map(|p| p.server).collect()
     }
+
+    /// The `Fault::Partition` island of the given partitions (by index):
+    /// bit `n` set for every node `n` they contain.
+    ///
+    /// Panics if any node id of the topology is 64 or more: the island is
+    /// a `u64` bitmask, and the simulator puts every such node on the
+    /// mainland whatever the mask says, so the split would be silently
+    /// wrong.
+    pub fn island_mask(&self, parts: &[usize]) -> u64 {
+        if let Some(n) = self.partitions.iter().flat_map(|p| p.all_nodes()).find(|n| n.0 >= 64) {
+            panic!(
+                "island masks cover node ids 0..64, but this topology has node {} ({} nodes)",
+                n.0,
+                self.node_count()
+            );
+        }
+        parts
+            .iter()
+            .flat_map(|&p| self.partitions[p].all_nodes())
+            .fold(0u64, |mask, n| mask | 1u64 << n.0)
+    }
 }
 
 #[cfg(test)]
@@ -151,6 +172,21 @@ mod tests {
     #[should_panic(expected = "partition too small")]
     fn too_small_partition_panics() {
         ClusterTopology::uniform(1, 1, 1);
+    }
+
+    #[test]
+    fn island_mask_sets_the_bits_of_the_chosen_partitions() {
+        let t = ClusterTopology::uniform(3, 4, 1);
+        assert_eq!(t.island_mask(&[]), 0);
+        assert_eq!(t.island_mask(&[0]), 0x00f);
+        assert_eq!(t.island_mask(&[2, 1]), 0xff0);
+    }
+
+    #[test]
+    #[should_panic(expected = "island masks cover node ids 0..64")]
+    fn island_mask_rejects_node_ids_past_63() {
+        // The paper testbed: 136 nodes, so nodes 64..136 have no bit.
+        ClusterTopology::uniform(8, 17, 1).island_mask(&[0]);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use hist::{Histogram, Summary};
 pub use json::Json;
 pub use recorder::{FlightRecorder, SpanRecord};
 pub use registry::{MetricsRegistry, SpanId};
-pub use report::BenchReport;
+pub use report::{workspace_root, BenchReport};
 
 use std::cell::RefCell;
 

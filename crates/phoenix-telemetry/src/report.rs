@@ -111,29 +111,18 @@ impl BenchReport {
         Ok(path.to_path_buf())
     }
 
-    /// Write to [`DEFAULT_PATH`] under the workspace root: walks up from
-    /// the current directory looking for the directory that contains
-    /// `Cargo.toml` with a `[workspace]` table, falling back to the
-    /// current directory (so `cargo run` from any crate dir and direct
-    /// binary invocation both land the report in the same place).
+    /// Write to [`DEFAULT_PATH`] under [`workspace_root`].
     pub fn write_default(&self, reg: &MetricsRegistry) -> io::Result<PathBuf> {
         self.write_to(reg, workspace_root().join(DEFAULT_PATH))
     }
 }
 
-fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if let Ok(text) = fs::read_to_string(&manifest) {
-            if text.contains("[workspace]") {
-                return dir;
-            }
-        }
-        if !dir.pop() {
-            return std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-        }
-    }
+/// The repository root, where `results/` lives. Resolved from this
+/// crate's own manifest directory at compile time, so every report lands
+/// in the same place whatever directory the binary runs from.
+pub fn workspace_root() -> PathBuf {
+    let crate_dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    crate_dir.ancestors().nth(2).unwrap_or(crate_dir).to_path_buf()
 }
 
 #[cfg(test)]
@@ -161,6 +150,12 @@ mod tests {
         assert!(text.contains("\"hb.sent\": 7"));
         assert!(text.contains("\"nodes.up\": 5.0"));
         assert!(text.contains("\"extra\""));
+    }
+
+    #[test]
+    fn workspace_root_is_the_repository_root() {
+        let root = workspace_root();
+        assert!(root.join("crates/phoenix-telemetry").is_dir(), "{root:?}");
     }
 
     #[test]

@@ -1,64 +1,138 @@
-#!/usr/bin/env sh
-# Repo verification: tier-1 (build + tests) plus telemetry and chaos smoke
-# runs.
+#!/bin/sh
+# Repo verification: tier-1 (build + tests), then every smoke run of the
+# bench and chaos binaries, driven by one table.
 #
 #   sh scripts/verify.sh
 #
-# The telemetry smoke drives table1_wd on the tiny testbed and asserts that
-# the export landed in results/BENCH_kernel.json with latency percentiles
-# for the instrumented kernel paths, and that the service-exercise pass
-# shares a single booted world (it used to boot four).
+# Each table row runs one binary and names the report it writes, the
+# needles that must appear in it (an `out:` needle is looked for in the
+# binary's output instead), and extra gates:
 #
-# The chaos smoke runs 25 seeded random fault schedules against the kernel
-# and fails on any invariant violation. Every violation the chaos binary
-# reports comes with a shrunk reproducer and a ready-to-paste replay
-# command of the form:
+#   fresh     the report must come out byte-identical to the committed
+#             file (`git diff --exit-code`): every seeded run is
+#             deterministic, so any difference is a behaviour change;
+#   parallel  re-run without --serial on 4 forced sweep threads; the
+#             report must be byte-identical to the serial one (`cmp`);
+#   speedup   on a multi-core machine the parallel re-run must be more
+#             than 1.5x faster than the serial run;
+#   exercise  the service-exercise pass shares one booted world and
+#             stays under 10 s;
+#   wheel     on a multi-core machine the timer wheel must beat the heap
+#             by more than 1.5x, and its events/sec must be at least 1.10x
+#             the committed baseline (results/BENCH_events_baseline.json:
+#             the wheel throughput of the last change that claimed a
+#             scheduler win, so a regression floor, not a ratchet).
 #
-#   cargo run --release -p phoenix-chaos --bin chaos -- --small --replay SEED:MASKHEX
+# Every binary's exit status is a gate too: each exits non-zero on the
+# failures it checks (chaos: any invariant violation, printed with a
+# shrunk `--replay SEED:MASKHEX` reproducer; the sweeps: spurious
+# takeovers, double leaders, false-dead verdicts, ...).
 #
-# which re-runs exactly the minimal failing subset of that seed's schedule
-# (verbose, with a flight-recorder dump). Seeds are deterministic: the same
-# seed generates the same schedule on every machine. A second chaos pass
-# re-runs 25 seeds on a 2% random-loss network (--lossy 20: baseline loss
-# plus generated loss bursts) with the loss-tolerant kernel profile.
-#
-# The loss_sweep smoke sweeps loss rates on a fault-free and a WD-kill
-# cluster; the bin exits non-zero if any spurious takeover fires, and the
-# export is asserted to land in results/BENCH_loss.json. It runs twice:
-# once --serial and once through the parallel sweep runner (4 forced
-# worker threads); the two BENCH_loss.json files must be byte-identical
-# (sharded-telemetry determinism gate), and on multi-core machines the
-# parallel run must be >1.5x faster.
-#
-# The nic_asymmetry smoke degrades NIC 0 only (NICs 1-2 clean) and gates
-# the adaptive multi-NIC routing acceptance criteria: zero spurious
-# takeovers and detection within 25% of the clean baseline
-# (results/BENCH_nic.json); the flapping-NIC pin replays chaos seed 4's
-# NIC degrade/restore storms end-to-end first.
-#
-# The partition chaos pass re-runs 25 seeds with island-storm schedules
-# (--partition: whole-partition splits + heals layered on the usual fault
-# mix) and the split-brain invariants sampled *during* the splits; the
-# partition_sweep smoke then gates zero double-leader instants, every
-# minority frozen, and post-heal convergence (results/BENCH_partition.json).
-#
-# The fail-slow chaos pass re-runs 25 seeds on the 3x5 fail-slow testbed
-# (--slow: slow-node episodes layered on the usual fault mix) under the
-# slow-not-dead and quarantine-convergence invariants; the slow_sweep
-# smoke then gates zero false-dead diagnoses, every member-gray episode
-# drained, every leader-gray episode yielded, and every reinstatement
-# converged (results/BENCH_slow.json), serial vs parallel byte-identical.
-#
-# The event_core smoke benches the raw event loop: the heap baseline vs the
-# hierarchical timer-wheel scheduler on an identical seeded timer
-# population (results/BENCH_events.json). The bin replays pinned chaos
-# scenarios under both schedulers and digests every observable stream; the
-# two digest files must be byte-identical (scheduler determinism gate), and
-# on multi-core machines the wheel must be >1.5x faster than the heap.
+# The heap and wheel schedulers are proven to drive whole chaos runs
+# identically by tests/differential.rs, part of tier-1.
 
 set -eu
 
 cd "$(dirname "$0")/.."
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+cores=$(nproc 2>/dev/null || echo 1)
+
+fail() {
+    echo "FAIL: $*" >&2
+    exit 1
+}
+
+# run NAME PACKAGE BIN ARGS...: run a release binary with its output in
+# $tmp/NAME.out, failing on a non-zero exit.
+run() {
+    out=$tmp/$1.out run_pkg=$2 run_bin=$3
+    shift 3
+    status=0
+    cargo run --release --offline -q -p "$run_pkg" --bin "$run_bin" -- "$@" \
+        > "$out" 2>&1 < /dev/null || status=$?
+    cat "$out"
+    [ "$status" -eq 0 ] || fail "$run_bin $* exited with status $status"
+}
+
+# wall_ms FILE: the wall-clock milliseconds of a sweep's summary line.
+wall_ms() {
+    sed -n 's/.*sweep: [0-9]* [a-z]* on [0-9]* thread(s), \([0-9]*\) ms wall/\1/p' "$1"
+}
+
+# faster_than X A B: does A / B exceed X? (always true on one core)
+faster_than() {
+    [ "$cores" -lt 2 ] && return 0
+    awk "BEGIN { exit !($2 / ($3 + 0.001) > $1) }"
+}
+
+gate_parallel() {
+    cp "$report" "$tmp/$name.serial.json"
+    # shellcheck disable=SC2086 # $args is a word list
+    set -- $(echo " $args " | sed 's/ --serial / /')
+    export PHOENIX_SWEEP_THREADS=4
+    run "$name.parallel" "$pkg" "$bin" "$@"
+    unset PHOENIX_SWEEP_THREADS
+    cmp "$report" "$tmp/$name.serial.json" ||
+        fail "parallel $report differs from serial (determinism gate)"
+}
+
+gate_speedup() {
+    serial_ms=$(wall_ms "$tmp/$name.out")
+    par_ms=$(wall_ms "$tmp/$name.parallel.out")
+    [ -n "$serial_ms" ] && [ -n "$par_ms" ] || fail "sweep wall-clock lines missing from $bin output"
+    echo "$bin wall-clock: serial $serial_ms ms, parallel $par_ms ms ($cores core(s))"
+    faster_than 1.5 "$serial_ms" "$par_ms" ||
+        fail "$bin parallel speedup <= 1.5 on a $cores-core machine"
+}
+
+gate_exercise() {
+    ms=$(sed -n 's/.*exercise pass: 1 world.*, \([0-9]*\) ms wall/\1/p' "$tmp/$name.out")
+    [ -n "$ms" ] && [ "$ms" -lt 10000 ] || fail "exercise pass took ${ms:-?} ms (speedup regressed)"
+}
+
+gate_wheel() {
+    heap_ms=$(sed -n 's/.*event_core wall-clock: heap \([0-9]*\) ms.*/\1/p' "$tmp/$name.out")
+    wheel_ms=$(sed -n 's/.*event_core wall-clock: heap [0-9]* ms, wheel \([0-9]*\) ms.*/\1/p' "$tmp/$name.out")
+    [ -n "$heap_ms" ] && [ -n "$wheel_ms" ] || fail "event_core wall-clock line missing from output"
+    faster_than 1.5 "$heap_ms" "$wheel_ms" ||
+        fail "wheel speedup over heap <= 1.5 on a $cores-core machine"
+    eps='s/.*"wheel_events_per_sec": \([0-9.]*\).*/\1/p'
+    base=$(sed -n "$eps" results/BENCH_events_baseline.json)
+    fresh=$(sed -n "$eps" "$report")
+    [ -n "$base" ] && [ -n "$fresh" ] || fail "wheel_events_per_sec missing from baseline or fresh results"
+    echo "wheel events/sec: fresh $fresh vs baseline $base (need >= 1.10x)"
+    awk "BEGIN { exit !($fresh >= 1.10 * $base) }" ||
+        fail "wheel events/sec $fresh < 1.10 * baseline $base"
+}
+
+# stage NAME PACKAGE BIN ARGS REPORT NEEDLES GATES: one table row.
+stage() {
+    name=$1 pkg=$2 bin=$3 args=$4 report=$5 needles=$6 gates=$7
+    echo "== $bin $args =="
+    [ -z "$report" ] || rm -f "$report"
+    # shellcheck disable=SC2086 # $args is a word list
+    run "$name" "$pkg" "$bin" $args
+    [ -z "$report" ] || [ -s "$report" ] || fail "$report missing or empty"
+    old_ifs=$IFS
+    IFS=';'
+    for needle in $needles; do
+        case $needle in
+        out:*) grep -qF -- "${needle#out:}" "$tmp/$name.out" ||
+            fail "'${needle#out:}' not found in $bin output" ;;
+        *) grep -qF -- "\"$needle\"" "$report" || fail "\"$needle\" not found in $report" ;;
+        esac
+    done
+    IFS=$old_ifs
+    for gate in $gates; do
+        case $gate in
+        fresh) git --no-pager diff --exit-code --stat -- "$report" ||
+            fail "$report differs from the committed file" ;;
+        *) "gate_$gate" ;;
+        esac
+    done
+}
 
 echo "== tier-1: cargo build --release =="
 cargo build --release --offline
@@ -66,283 +140,37 @@ cargo build --release --offline
 echo "== tier-1: cargo test -q =="
 cargo test -q --offline
 
-echo "== smoke: table1_wd (--small) writes results/BENCH_kernel.json =="
-rm -f results/BENCH_kernel.json
-cargo run --release --offline -p phoenix-bench --bin table1_wd -- --small \
-    | tee /tmp/table1_wd.out
-
-test -s results/BENCH_kernel.json || {
-    echo "FAIL: results/BENCH_kernel.json missing or empty" >&2
-    exit 1
-}
-for needle in '"p50_ns"' '"p99_ns"' '"wd.heartbeat.flight"' '"counters"' '"table1"'; do
-    grep -q "$needle" results/BENCH_kernel.json || {
-        echo "FAIL: $needle not found in results/BENCH_kernel.json" >&2
-        exit 1
-    }
-done
-
-# The trace-mined table rows must agree with the kernel's own histograms
-# (the bin panics on divergence, but assert the check actually ran).
-grep -q 'telemetry cross-check' /tmp/table1_wd.out || {
-    echo "FAIL: telemetry cross-check did not run" >&2
-    exit 1
-}
-
-# The service-exercise pass must share ONE world (the pre-refactor pass
-# booted four for the same path coverage) and stay fast: generous 10 s
-# bound vs ~tens of ms observed.
-grep -q 'exercise pass: 1 world' /tmp/table1_wd.out || {
-    echo "FAIL: exercise pass no longer shares a single world" >&2
-    exit 1
-}
-wall_ms=$(sed -n 's/.*exercise pass: 1 world.*, \([0-9]*\) ms wall/\1/p' /tmp/table1_wd.out)
-[ -n "$wall_ms" ] && [ "$wall_ms" -lt 10000 ] || {
-    echo "FAIL: exercise pass took ${wall_ms:-?} ms (speedup regressed)" >&2
-    exit 1
-}
-
-echo "== smoke: chaos, 25 seeded fault schedules =="
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --small
-
-echo "== smoke: chaos, 25 seeded fault schedules on a 2% lossy network =="
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --lossy 20
-
-echo "== smoke: loss_sweep (--small --serial) writes results/BENCH_loss.json =="
-rm -f results/BENCH_loss.json
-# The bin itself exits non-zero on any spurious takeover, so this line is
-# the zero-spurious gate; the greps below assert the export landed.
-cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small --serial \
-    | tee /tmp/loss_serial.out
-
-test -s results/BENCH_loss.json || {
-    echo "FAIL: results/BENCH_loss.json missing or empty" >&2
-    exit 1
-}
-for needle in '"loss_curve"' '"spurious_takeovers"' '"detect_ms_mean"' '"net_loss_dropped"'; do
-    grep -q "$needle" results/BENCH_loss.json || {
-        echo "FAIL: $needle not found in results/BENCH_loss.json" >&2
-        exit 1
-    }
-done
-
-echo "== determinism gate: parallel loss_sweep must be byte-identical to serial =="
-cp results/BENCH_loss.json /tmp/BENCH_loss_serial.json
-rm -f results/BENCH_loss.json
-# Force 4 worker threads so shard hand-off and the in-order merge are
-# genuinely exercised even on a single-core runner.
-PHOENIX_SWEEP_THREADS=4 \
-    cargo run --release --offline -p phoenix-bench --bin loss_sweep -- --small \
-    | tee /tmp/loss_parallel.out
-cmp results/BENCH_loss.json /tmp/BENCH_loss_serial.json || {
-    echo "FAIL: parallel BENCH_loss.json differs from serial (determinism gate)" >&2
-    exit 1
-}
-serial_ms=$(sed -n 's/.*sweep: [0-9]* runs on [0-9]* thread(s), \([0-9]*\) ms wall/\1/p' /tmp/loss_serial.out)
-par_ms=$(sed -n 's/.*sweep: [0-9]* runs on [0-9]* thread(s), \([0-9]*\) ms wall/\1/p' /tmp/loss_parallel.out)
-cores=$(nproc 2>/dev/null || echo 1)
-[ -n "$serial_ms" ] && [ -n "$par_ms" ] || {
-    echo "FAIL: sweep wall-clock lines missing from loss_sweep output" >&2
-    exit 1
-}
-speedup=$(awk "BEGIN { printf \"%.2f\", $serial_ms / ($par_ms + 0.001) }")
-echo "loss_sweep wall-clock: serial ${serial_ms} ms, parallel ${par_ms} ms, speedup x${speedup} (${cores} core(s))"
-if [ "$cores" -ge 2 ]; then
-    awk "BEGIN { exit !($serial_ms / ($par_ms + 0.001) > 1.5) }" || {
-        echo "FAIL: parallel speedup x${speedup} <= 1.5 on a ${cores}-core machine" >&2
-        exit 1
-    }
-else
-    echo "(single-core runner: speedup gate skipped, determinism gate enforced)"
-fi
-
-echo "== smoke: flapping-NIC chaos pin (seed 4, lossy) =="
-# Replays the pinned flapping-NIC storm end-to-end (exit 1 on violation).
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --lossy 20 --replay 4 \
-    > /tmp/chaos_flap.out || {
-    cat /tmp/chaos_flap.out >&2
-    echo "FAIL: flapping-NIC replay (seed 4) violated invariants" >&2
-    exit 1
-}
-grep -q 'NicDegrade' /tmp/chaos_flap.out || {
-    echo "FAIL: seed 4 schedule no longer contains NIC flaps — re-pin" >&2
-    exit 1
-}
-
-echo "== smoke: nic_asymmetry (--small) writes results/BENCH_nic.json =="
-rm -f results/BENCH_nic.json
-# The bin exits non-zero on any spurious takeover or a detection mean more
-# than 25% above the clean baseline — the adaptive-routing acceptance gate.
-cargo run --release --offline -p phoenix-bench --bin nic_asymmetry -- --small
-
-test -s results/BENCH_nic.json || {
-    echo "FAIL: results/BENCH_nic.json missing or empty" >&2
-    exit 1
-}
-for needle in '"nic_curve"' '"spurious_takeovers"' '"detect_ratio_vs_clean"' '"worst_detect_ratio"' '"nic0_routed_share"'; do
-    grep -q "$needle" results/BENCH_nic.json || {
-        echo "FAIL: $needle not found in results/BENCH_nic.json" >&2
-        exit 1
-    }
-done
-
-echo "== smoke: chaos, 25 seeded partition-storm schedules =="
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --partition
-
-echo "== smoke: partition_sweep (--small) writes results/BENCH_partition.json =="
-rm -f results/BENCH_partition.json
-# The bin exits non-zero on any sampled double-leader instant, an
-# unfrozen minority, or an episode that fails to re-converge after heal.
-cargo run --release --offline -p phoenix-bench --bin partition_sweep -- --small
-
-test -s results/BENCH_partition.json || {
-    echo "FAIL: results/BENCH_partition.json missing or empty" >&2
-    exit 1
-}
-for needle in '"episodes"' '"double_leader_instants"' '"freeze_ms"' '"dir_converge_ms"' '"unfrozen_minorities"'; do
-    grep -q "$needle" results/BENCH_partition.json || {
-        echo "FAIL: $needle not found in results/BENCH_partition.json" >&2
-        exit 1
-    }
-done
-
-echo "== smoke: chaos_sweep writes results/BENCH_chaos.json =="
-rm -f results/BENCH_chaos.json
-cargo run --release --offline -p phoenix-bench --bin chaos_sweep -- --seeds 25 --small
-
-test -s results/BENCH_chaos.json || {
-    echo "FAIL: results/BENCH_chaos.json missing or empty" >&2
-    exit 1
-}
-for needle in '"schedules_run"' '"faults_injected"' '"violating_schedules"' '"shrink"' '"schedules"'; do
-    grep -q "$needle" results/BENCH_chaos.json || {
-        echo "FAIL: $needle not found in results/BENCH_chaos.json" >&2
-        exit 1
-    }
-done
-
-echo "== smoke: chaos, 25 seeded even-split quorum schedules =="
-# The even 4x3 testbed with a witness: split-heavy schedules under the
-# weighted sampled invariants (exactly one live side of an even split,
-# no double leader, no frozen weighted-winner).
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --quorum
-
-echo "== smoke: quorum_sweep (--small --serial) writes results/BENCH_quorum.json =="
-rm -f results/BENCH_quorum.json
-# The bin exits non-zero on a double-leader or both-sides-frozen instant,
-# an undecided split, a failed re-convergence, or an adaptive-delay
-# episode that never recovers the killed GSD.
-cargo run --release --offline -p phoenix-bench --bin quorum_sweep -- --small --serial
-
-test -s results/BENCH_quorum.json || {
-    echo "FAIL: results/BENCH_quorum.json missing or empty" >&2
-    exit 1
-}
-for needle in '"double_leader_instants"' '"both_frozen_instants"' '"undecided_splits"' \
-    '"availability_mean"' '"takeover_adaptive_ms_mean"' '"takeover_fixed31_ms_mean"'; do
-    grep -q "$needle" results/BENCH_quorum.json || {
-        echo "FAIL: $needle not found in results/BENCH_quorum.json" >&2
-        exit 1
-    }
-done
-
-echo "== determinism gate: parallel quorum_sweep must be byte-identical to serial =="
-cp results/BENCH_quorum.json /tmp/BENCH_quorum_serial.json
-PHOENIX_SWEEP_THREADS=4 \
-    cargo run --release --offline -p phoenix-bench --bin quorum_sweep -- --small
-cmp results/BENCH_quorum.json /tmp/BENCH_quorum_serial.json || {
-    echo "FAIL: parallel quorum_sweep report differs from serial (determinism gate)" >&2
-    exit 1
-}
-
-echo "== smoke: chaos, 25 seeded fail-slow schedules =="
-# The 3x5 testbed with the fail-slow profile: slow-node episodes riding a
-# salt-separated RNG stream, under the slow-not-dead invariant (zero dead
-# diagnoses of a slow-but-alive node) and post-heal quarantine convergence.
-cargo run --release --offline -p phoenix-chaos --bin chaos -- --seeds 25 --slow
-
-echo "== smoke: slow_sweep (--small --serial) writes results/BENCH_slow.json =="
-rm -f results/BENCH_slow.json
-# The bin exits non-zero on any dead diagnosis of a slow-but-alive node,
-# an unsuspected/unquarantined episode, an undrained member-gray episode,
-# an unyielded leader-gray episode, or a failed reinstatement.
-cargo run --release --offline -p phoenix-bench --bin slow_sweep -- --small --serial
-
-test -s results/BENCH_slow.json || {
-    echo "FAIL: results/BENCH_slow.json missing or empty" >&2
-    exit 1
-}
-for needle in '"false_dead_diagnoses"' '"unyielded_leader_episodes"' '"unreinstated_episodes"' \
-    '"suspect_ms_mean"' '"factor_permille"' '"curve"'; do
-    grep -q "$needle" results/BENCH_slow.json || {
-        echo "FAIL: $needle not found in results/BENCH_slow.json" >&2
-        exit 1
-    }
-done
-
-echo "== determinism gate: parallel slow_sweep must be byte-identical to serial =="
-cp results/BENCH_slow.json /tmp/BENCH_slow_serial.json
-PHOENIX_SWEEP_THREADS=4 \
-    cargo run --release --offline -p phoenix-bench --bin slow_sweep -- --small
-cmp results/BENCH_slow.json /tmp/BENCH_slow_serial.json || {
-    echo "FAIL: parallel slow_sweep report differs from serial (determinism gate)" >&2
-    exit 1
-}
-
-echo "== smoke: event_core (--small) writes results/BENCH_events.json =="
-rm -f results/BENCH_events.json results/event_core_heap.trace results/event_core_wheel.trace
-# The bin exits non-zero if the heap and wheel schedulers diverge on any
-# pinned chaos scenario, or if the wheel's raw speedup drops below x1.2.
-cargo run --release --offline -p phoenix-bench --bin event_core -- --small \
-    | tee /tmp/event_core.out
-
-test -s results/BENCH_events.json || {
-    echo "FAIL: results/BENCH_events.json missing or empty" >&2
-    exit 1
-}
-for needle in '"heap_events_per_sec"' '"wheel_events_per_sec"' '"speedup"' '"identical": true'; do
-    grep -q "$needle" results/BENCH_events.json || {
-        echo "FAIL: $needle not found in results/BENCH_events.json" >&2
-        exit 1
-    }
-done
-
-echo "== determinism gate: wheel scheduler must be byte-identical to heap =="
-cmp results/event_core_heap.trace results/event_core_wheel.trace || {
-    echo "FAIL: wheel digest stream differs from heap (scheduler determinism gate)" >&2
-    exit 1
-}
-heap_ms=$(sed -n 's/.*event_core wall-clock: heap \([0-9]*\) ms.*/\1/p' /tmp/event_core.out)
-wheel_ms=$(sed -n 's/.*event_core wall-clock: heap [0-9]* ms, wheel \([0-9]*\) ms.*/\1/p' /tmp/event_core.out)
-[ -n "$heap_ms" ] && [ -n "$wheel_ms" ] || {
-    echo "FAIL: event_core wall-clock line missing from output" >&2
-    exit 1
-}
-ev_speedup=$(awk "BEGIN { printf \"%.2f\", $heap_ms / ($wheel_ms + 0.001) }")
-echo "event_core wall-clock: heap ${heap_ms} ms, wheel ${wheel_ms} ms, speedup x${ev_speedup} (${cores} core(s))"
-if [ "$cores" -ge 2 ]; then
-    awk "BEGIN { exit !($heap_ms / ($wheel_ms + 0.001) > 1.5) }" || {
-        echo "FAIL: wheel speedup x${ev_speedup} <= 1.5 on a ${cores}-core machine" >&2
-        exit 1
-    }
-else
-    echo "(single-core runner: speedup gate skipped, determinism gate enforced)"
-fi
-
-echo "== perf gate: wheel events/sec >= 1.10x committed baseline =="
-# results/BENCH_events_baseline.json pins the wheel throughput of the last
-# PR that claimed a scheduler perf win; it only advances with such a PR, so
-# this gate is a regression floor, not a ratchet.
-base_eps=$(sed -n 's/.*"wheel_events_per_sec": \([0-9.]*\).*/\1/p' results/BENCH_events_baseline.json)
-fresh_eps=$(sed -n 's/.*"wheel_events_per_sec": \([0-9.]*\).*/\1/p' results/BENCH_events.json)
-[ -n "$base_eps" ] && [ -n "$fresh_eps" ] || {
-    echo "FAIL: wheel_events_per_sec missing from baseline or fresh results" >&2
-    exit 1
-}
-echo "wheel events/sec: fresh ${fresh_eps} vs baseline ${base_eps} (need >= 1.10x)"
-awk "BEGIN { exit !($fresh_eps >= 1.10 * $base_eps) }" || {
-    echo "FAIL: wheel events/sec ${fresh_eps} < 1.10 * baseline ${base_eps}" >&2
-    exit 1
-}
+# name|package|bin|args|report|needles (;-separated)|gates
+while IFS='|' read -r name pkg bin args report needles gates; do
+    case $name in '' | '#'*) continue ;; esac
+    stage "$name" "$pkg" "$bin" "$args" "$report" "$needles" "$gates"
+done << 'EOF'
+# Telemetry export; trace-mined rows cross-checked against the histograms.
+table1|phoenix-bench|table1_wd|--small|results/BENCH_kernel.json|p50_ns;p99_ns;wd.heartbeat.flight;counters;table1;out:telemetry cross-check;out:exercise pass: 1 world|fresh exercise
+# 25 seeded fault schedules, each on its own telemetry shard.
+chaos|phoenix-chaos|chaos|--seeds 25 --small --report|results/BENCH_chaos.json|schedules_run;faults_injected;violating_schedules;shrink;schedules|fresh
+# 2% baseline loss plus generated loss bursts, loss-tolerant kernel.
+lossy|phoenix-chaos|chaos|--seeds 25 --lossy 20|||
+# Zero spurious takeovers at every loss rate.
+loss|phoenix-bench|loss_sweep|--small --serial|results/BENCH_loss.json|loss_curve;spurious_takeovers;detect_ms_mean;net_loss_dropped|fresh parallel speedup
+# The pinned flapping-NIC storm, replayed end to end.
+flap|phoenix-chaos|chaos|--lossy 20 --replay 4||out:NicDegrade|
+# NIC 0 degraded only: zero spurious takeovers, detection within 25%.
+nic|phoenix-bench|nic_asymmetry|--small --serial|results/BENCH_nic.json|nic_curve;spurious_takeovers;detect_ratio_vs_clean;worst_detect_ratio;nic0_routed_share|fresh parallel
+# Island storms with split-brain invariants sampled during the splits.
+partition|phoenix-chaos|chaos|--seeds 25 --partition|||
+# Zero double leaders, every minority frozen, every heal converged.
+partition_sweep|phoenix-bench|partition_sweep|--small --serial|results/BENCH_partition.json|episodes;double_leader_instants;freeze_ms;dir_converge_ms;unfrozen_minorities|fresh parallel
+# Even splits of the 4x3 witness testbed under the weighted invariants.
+quorum|phoenix-chaos|chaos|--seeds 25 --quorum|||
+# Zero double-leader or both-frozen instants, every split decided.
+quorum_sweep|phoenix-bench|quorum_sweep|--small --serial|results/BENCH_quorum.json|double_leader_instants;both_frozen_instants;undecided_splits;availability_mean;takeover_adaptive_ms_mean;takeover_fixed31_ms_mean|fresh parallel
+# Slow-node episodes under slow-not-dead and quarantine convergence.
+slow|phoenix-chaos|chaos|--seeds 25 --slow|||
+# Zero false-dead verdicts; every episode drained, yielded, reinstated.
+slow_sweep|phoenix-bench|slow_sweep|--small --serial|results/BENCH_slow.json|false_dead_diagnoses;unyielded_leader_episodes;unreinstated_episodes;suspect_ms_mean;factor_permille;curve|fresh parallel
+# Raw scheduler throughput, heap vs timer wheel.
+event_core|phoenix-bench|event_core|--small|results/BENCH_events.json|heap_events_per_sec;wheel_events_per_sec;speedup|wheel
+EOF
 
 echo "verify: OK"

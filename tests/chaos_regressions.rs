@@ -16,7 +16,7 @@
 
 use phoenix::chaos::{
     crash_repair_nodes, double_nic_nodes, generate_schedule, gsd_kills, island_partitions,
-    link_partitions, loss_bursts, nic_flaps, run_schedule, slow_storms, ChaosConfig,
+    link_partitions, loss_bursts, nic_flaps, run_schedule, run_seeds, slow_storms, ChaosConfig,
 };
 use phoenix::kernel::boot_cluster;
 use phoenix::proto::PartitionId;
@@ -302,5 +302,27 @@ fn gray_leader_handoff() {
         "seed {SEED} violated invariants under a gray leader: {:#?}\n\
          replay: cargo run --release -p phoenix-chaos --bin chaos -- --slow --replay {SEED}",
         out.violations
+    );
+}
+
+/// A failing schedule must not fail the next one. Partition seed 56 is a
+/// real failure that leaves a span open; seed 57 is clean on its own. On
+/// one shared registry 56's leak also failed 57's telemetry-leak check;
+/// the shared seed loop gives each seed its own telemetry shard.
+#[test]
+fn failing_seed_does_not_fail_the_next() {
+    let cfg = ChaosConfig::small_partition();
+    // One seed per call: a one-item sweep runs on the calling thread, so
+    // seed 57 runs on the thread seed 56 just ran on, as in a serial sweep.
+    let [s56, s57] = [56, 57].map(|seed| {
+        run_seeds(&[seed], &cfg, "--partition").results.pop().expect("one seed in, one out")
+    });
+    assert!(s56.out.failed(), "pin drifted: partition seed 56 no longer fails");
+    let (_, replay) = s56.shrunk.as_ref().expect("a failing seed is shrunk");
+    assert!(replay.contains("--partition --replay 56"), "{replay}");
+    assert!(
+        !s57.out.failed() && s57.shrunk.is_none(),
+        "seed 57 inherited seed 56's telemetry: {:?}",
+        s57.out.violations
     );
 }

@@ -16,10 +16,11 @@
 //! Deterministic unit tests for the retry/backoff schedule and the
 //! server-side dedup window ride along at the bottom.
 
+use phoenix::chaos::live_gsds;
 use phoenix::kernel::group::{Gsd, Wd};
 use phoenix::kernel::{boot_cluster_with_net, DedupWindow, KernelParams, RetryPolicy};
-use phoenix::proto::{ClusterTopology, KernelMsg, PartitionId};
-use phoenix::sim::{NetParams, NodeId, SimDuration, SimRng, World};
+use phoenix::proto::{ClusterTopology, KernelMsg};
+use phoenix::sim::{NetParams, SimDuration, SimRng, World};
 
 const SEEDS: u64 = 20;
 
@@ -60,30 +61,23 @@ fn assert_converges(seed: u64, loss_permille: u16) {
     );
 
     // Exactly one leader; all live GSDs agree on it.
-    let mut gsds: Vec<(PartitionId, &'static str, Option<PartitionId>)> = Vec::new();
-    for node in 0..w.node_count() {
-        for pid in w.pids_on(NodeId(node as u32)) {
-            if let Some(g) = w.actor_as::<Gsd>(pid) {
-                gsds.push((g.partition_id(), g.role_name(), g.leader_view()));
-            }
-        }
-    }
+    let gsds = live_gsds(&w);
     assert_eq!(gsds.len(), 3, "seed {seed}: expected one live GSD per partition");
-    let leaders: Vec<_> = gsds.iter().filter(|(_, role, _)| *role == "leader").collect();
+    let leaders: Vec<_> = gsds.iter().filter(|g| g.role == "leader").collect();
     assert_eq!(
         leaders.len(),
         1,
         "seed {seed} @ {loss_permille}‰: {} meta-group leaders (want 1): {gsds:?}",
         leaders.len()
     );
-    let lead = leaders[0].0;
-    for (p, _, view) in &gsds {
+    let lead = leaders[0].partition;
+    for g in &gsds {
         assert_eq!(
-            *view,
+            g.leader,
             Some(lead),
             "seed {seed} @ {loss_permille}‰: GSD of partition {} disagrees on \
              the leader",
-            p.0
+            g.partition.0
         );
     }
 

@@ -11,7 +11,7 @@ use phoenix::sim::{Fault, SimDuration, SimRng};
 use phoenix::telemetry::{
     BenchReport, FlightRecorder, Histogram, MetricsRegistry, SpanRecord, SpanId,
 };
-use phoenix_bench::sweep::run_sweep;
+use phoenix::chaos::sweep::run_sweep;
 
 /// Merging per-shard histograms must equal the histogram of the whole
 /// stream: the property that makes per-node registries aggregatable.
