@@ -19,21 +19,35 @@
 //!   heartbeat it; the GSD restarts failed members from the factory
 //!   registry, after which they restore state from the checkpoint service
 //!   (paper Fig 4).
+//!
+//! The failure pipeline runs in three layers: `evidence` (heartbeat
+//! tracks, suspicion scans, probe sessions), `verdict` (pure decision
+//! rules: the probe `decide` chain, quarantine convergence, leader yield)
+//! and `action` (diagnosis, takeover and restart executors). The regroup
+//! quorum and fail-slow detectors that feed the verdicts live in `quorum`
+//! and `slow`.
 
-use crate::group::registry::{kernel_factory_key, RespawnArgs, SharedRegistry};
-use crate::group::wd::Wd;
-use crate::nic_health::{HealthTransition, NicHealth};
+mod action;
+mod evidence;
+mod quorum;
+mod slow;
+mod verdict;
+
+use crate::group::registry::{kernel_factory_key, SharedRegistry};
+use crate::nic_health::NicHealth;
 use crate::params::KernelParams;
-use crate::regroup::{AckInfo, Regroup, Verdict};
-use crate::slow_detect::{SlowDetect, SlowTransition, Verdict as SlowVerdict};
+use crate::regroup::Regroup;
+use crate::slow_detect::SlowDetect;
+use action::{DelayedOp, DIR_RESEND_TICKS};
+use evidence::{PeerTrack, ProbeKind, ProbeSession};
 use phoenix_proto::{
     CheckpointData, ClusterTopology, Event, EventPayload, EventType, KernelMsg, MemberInfo,
     NodeServices, PartitionId, RequestId, ServiceKind,
 };
 use phoenix_sim::{
-    Actor, Ctx, Diagnosis, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimTime, TraceEvent,
+    Actor, Ctx, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimTime, TraceEvent,
 };
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 const TOK_SCAN: u64 = 1;
 const TOK_TICK: u64 = 2;
@@ -44,94 +58,7 @@ const TOK_DIR_RETRY: u64 = 3;
 const TOK_REGROUP: u64 = 4;
 /// Heal-probe cadence while frozen: opens a fresh regroup round.
 const TOK_REGROUP_RETRY: u64 = 5;
-/// Ticks over which a changed directory entry is re-asserted to config
-/// under a retrying policy (~2 s at the fast heartbeat interval — enough
-/// to straddle any loss burst a chaos schedule can generate).
-const DIR_RESEND_TICKS: u32 = 20;
-
-/// Telemetry key for a `gsd.takeover` mark/measure/unmark. Scoped by the
-/// observing pid, the partition, AND a per-plan sequence number: one
-/// leader can have two takeover plans for the same partition in flight
-/// (a diagnosis-driven migrate racing its own rescue sweep), and a plan
-/// that aborts its spawn must not retract the other plan's pending mark —
-/// that would silently swallow the surviving plan's measure. The mark and
-/// its matching measure/unmark always happen on the same actor, so pid
-/// scoping is safe; the plan id travels inside `RestartWhat`.
-fn takeover_key(observer: Pid, partition: PartitionId, plan: u64) -> u64 {
-    phoenix_telemetry::key(&[3, partition.0 as u64, observer.0, plan])
-}
 const OP_BASE: u64 = 100;
-
-/// A heartbeat seq at or below the last seen one within this window is a
-/// duplicate (network-level duplication or reordering) and is dropped. A
-/// backward jump of the window or more means the sender restarted and its
-/// counter reset — accept and resynchronize.
-const SEQ_RESTART_WINDOW: u64 = 64;
-
-/// Duplicate / stale-reorder check shared by WD and meta heartbeats.
-fn is_dup_seq(last: u64, seq: u64) -> bool {
-    seq <= last && last - seq < SEQ_RESTART_WINDOW
-}
-
-/// Per-NIC loss evidence from a heartbeat seq: how many beats on this
-/// interface silently died between the previous one and this one. Zero for
-/// duplicates, restarts (backward jumps past the window) and absurd
-/// forward jumps (a long partition is one fault, not `gap` loss events —
-/// the EWMA cap bounds it further, this bounds the loop).
-fn seq_gap(last: u64, seq: u64) -> u64 {
-    if last == 0 || seq <= last {
-        return 0;
-    }
-    let gap = seq - last - 1;
-    if gap >= SEQ_RESTART_WINDOW {
-        return 0;
-    }
-    gap
-}
-
-/// Fixed-literal gauge keys (the telemetry registry requires `&'static
-/// str`); clusters model up to a handful of parallel networks.
-fn nic_health_gauge(nic: NicId) -> &'static str {
-    match nic.0 {
-        0 => "nic.health.nic0",
-        1 => "nic.health.nic1",
-        2 => "nic.health.nic2",
-        _ => "nic.health.nicN",
-    }
-}
-
-/// Per-node fail-slow verdict gauges, exported by the meta-group leader
-/// (0 = healthy, 1 = slow, 2 = dead). Fixed literals for the same reason
-/// as the NIC gauges; simulated clusters use small node ids.
-fn slow_verdict_gauge(node: NodeId) -> &'static str {
-    match node.0 {
-        0 => "slow.verdict.node0",
-        1 => "slow.verdict.node1",
-        2 => "slow.verdict.node2",
-        3 => "slow.verdict.node3",
-        4 => "slow.verdict.node4",
-        5 => "slow.verdict.node5",
-        6 => "slow.verdict.node6",
-        7 => "slow.verdict.node7",
-        _ => "slow.verdict.nodeN",
-    }
-}
-
-/// Per-node slowness-score gauges (smoothed RTT over baseline; 1.0 = at
-/// baseline), exported alongside the verdicts.
-fn slow_score_gauge(node: NodeId) -> &'static str {
-    match node.0 {
-        0 => "slow.score.node0",
-        1 => "slow.score.node1",
-        2 => "slow.score.node2",
-        3 => "slow.score.node3",
-        4 => "slow.score.node4",
-        5 => "slow.score.node5",
-        6 => "slow.score.node6",
-        7 => "slow.score.node7",
-        _ => "slow.score.nodeN",
-    }
-}
 
 /// How this GSD instance came to exist.
 enum GsdInit {
@@ -151,115 +78,11 @@ enum GsdInit {
     },
 }
 
-/// Per-node watch-daemon tracking state.
-struct WdTrack {
-    wd: Pid,
-    last: Vec<SimTime>,
-    /// Highest heartbeat seq seen per NIC (duplicate suppression).
-    last_seq: Vec<u64>,
-    nic_down: Vec<bool>,
-    node_down: bool,
-    probing: Option<u64>,
-}
-
-impl WdTrack {
-    fn new(wd: Pid, nics: usize, now: SimTime) -> WdTrack {
-        WdTrack {
-            wd,
-            last: vec![now; nics],
-            last_seq: vec![0; nics],
-            nic_down: vec![false; nics],
-            node_down: false,
-            probing: None,
-        }
-    }
-}
-
 /// Supervised-service tracking state.
 struct SvcTrack {
     kind: ServiceKind,
     factory: String,
     last: SimTime,
-}
-
-/// Ring-predecessor tracking state.
-struct PredTrack {
-    member: MemberInfo,
-    last: Vec<SimTime>,
-    /// Highest ring-heartbeat seq seen per NIC (duplicate suppression).
-    last_seq: Vec<u64>,
-    nic_down: Vec<bool>,
-    probing: Option<u64>,
-    down: bool,
-}
-
-/// An in-flight liveness probe session.
-struct ProbeSession {
-    kind: ProbeKind,
-    target_ppm: Pid,
-    rounds_sent: u32,
-    responses: u32,
-    active: bool,
-    /// When the most recent probe round was sent; each response consumes
-    /// it as an RTT sample for the fail-slow detector.
-    last_round_at: Option<SimTime>,
-    /// Telemetry span covering the whole session (open → resolution);
-    /// aborted (not closed) if this GSD dies mid-probe.
-    span: phoenix_telemetry::SpanId,
-}
-
-#[derive(Clone, Copy)]
-enum ProbeKind {
-    /// Diagnosing a silent watch daemon on a partition node.
-    Wd(NodeId),
-    /// Diagnosing a silent ring predecessor.
-    Meta(PartitionId),
-}
-
-/// Work scheduled for a later virtual instant.
-enum DelayedOp {
-    ProbeRound(u64),
-    ProbeTimeout(u64),
-    /// Network-failure analysis completes (per-NIC heartbeat pattern).
-    NicDiag {
-        node: NodeId,
-        nic: NicId,
-    },
-    /// Local (same-host) failure classification completes.
-    LocalDiagSvc {
-        pid: Pid,
-        kind: ServiceKind,
-        factory: String,
-    },
-    /// Own-NIC introspection classification completes.
-    LocalDiagNic { nic: NicId },
-    /// Execute a scheduled restart/migration.
-    Restart(RestartWhat),
-}
-
-enum RestartWhat {
-    Wd(NodeId),
-    Svc {
-        kind: ServiceKind,
-        factory: String,
-    },
-    GsdInPlace {
-        hint: MemberInfo,
-        members: Vec<MemberInfo>,
-        epoch: u64,
-        plan: u64,
-    },
-    GsdMigrate {
-        hint: MemberInfo,
-        members: Vec<MemberInfo>,
-        epoch: u64,
-        to: NodeId,
-        plan: u64,
-    },
-    /// Leader safety net: a partition has had no meta-group member for a
-    /// whole tick — whoever planned its takeover died before executing
-    /// it. Decide restart-vs-migrate at fire time.
-    GsdRescue { partition: PartitionId, plan: u64 },
 }
 
 /// The GSD actor.
@@ -274,7 +97,7 @@ pub struct Gsd {
     local: MemberInfo,
     members: Vec<MemberInfo>,
     epoch: u64,
-    node_daemons: HashMap<NodeId, NodeServices>,
+    node_daemons: BTreeMap<NodeId, NodeServices>,
     /// Watch-daemon pids for *every* cluster node (not just our own
     /// partition's): regroup rounds probe a silent partition's home-node
     /// WDs for dead-GSD testimony. Seeded from the boot/respawn
@@ -282,15 +105,17 @@ pub struct Gsd {
     /// `DirectoryUpdateNode` fan-out (vote-table profiles only).
     cluster_wds: HashMap<NodeId, Pid>,
 
-    wd_tracks: HashMap<NodeId, WdTrack>,
-    svc_tracks: HashMap<Pid, SvcTrack>,
-    pred: Option<PredTrack>,
+    /// Heartbeat evidence per partition node, with the node's WD pid.
+    wd_tracks: BTreeMap<NodeId, (Pid, PeerTrack)>,
+    svc_tracks: BTreeMap<Pid, SvcTrack>,
+    /// Heartbeat evidence about the ring predecessor.
+    pred: Option<(MemberInfo, PeerTrack)>,
     my_nic_known: Vec<bool>,
     /// EWMA delivery-health per parallel network, fed by heartbeat seq
     /// gaps (WD and meta-ring). Inert unless `params.ft.nic.enabled`.
     nic_health: NicHealth,
 
-    probes: HashMap<u64, ProbeSession>,
+    probes: BTreeMap<u64, ProbeSession>,
     ops: HashMap<u64, DelayedOp>,
     next_id: u64,
     last_role: &'static str,
@@ -319,7 +144,7 @@ pub struct Gsd {
     /// retrying policy: the `DirectoryUpdateNode` push is fire-and-forget,
     /// and a lost one would leave the config directory pointing at a dead
     /// pid forever. Entries are dropped when config pushes a fresher one.
-    dir_resend_nodes: HashMap<NodeId, (NodeServices, u32)>,
+    dir_resend_nodes: BTreeMap<NodeId, (NodeServices, u32)>,
     /// Remaining ticks over which our own `DirectoryUpdate` (membership
     /// announce after a takeover/migration) is re-asserted to config.
     dir_resend_local: u32,
@@ -378,47 +203,6 @@ impl Gsd {
         config: Pid,
         registry: SharedRegistry,
     ) -> Self {
-        Self::build(partition, params, topology, config, registry, GsdInit::Boot)
-    }
-
-    /// A GSD spawned by a ring neighbour to replace a failed member.
-    /// `hint` is the failed member's info (for an in-place restart its
-    /// service pids are still valid); `members` is the takeover-time
-    /// membership snapshot (failed member already removed).
-    pub fn respawn(
-        partition: PartitionId,
-        params: KernelParams,
-        topology: ClusterTopology,
-        config: Pid,
-        registry: SharedRegistry,
-        hint: MemberInfo,
-        members: Vec<MemberInfo>,
-        epoch: u64,
-        action: RecoveryAction,
-    ) -> Self {
-        Self::build(
-            partition,
-            params,
-            topology,
-            config,
-            registry,
-            GsdInit::Respawn {
-                hint,
-                members,
-                epoch,
-                action,
-            },
-        )
-    }
-
-    fn build(
-        partition: PartitionId,
-        params: KernelParams,
-        topology: ClusterTopology,
-        config: Pid,
-        registry: SharedRegistry,
-        init: GsdInit,
-    ) -> Self {
         let nic_health = NicHealth::new(params.ft.nic.clone(), 0);
         let regroup = Regroup::new(params.ft.regroup.clone());
         let slow = SlowDetect::new(params.ft.slow.clone());
@@ -428,7 +212,7 @@ impl Gsd {
             topology,
             config,
             registry,
-            init: Some(init),
+            init: Some(GsdInit::Boot),
             local: MemberInfo {
                 partition,
                 node: NodeId(0),
@@ -440,14 +224,14 @@ impl Gsd {
             },
             members: Vec::new(),
             epoch: 0,
-            node_daemons: HashMap::new(),
+            node_daemons: BTreeMap::new(),
             cluster_wds: HashMap::new(),
-            wd_tracks: HashMap::new(),
-            svc_tracks: HashMap::new(),
+            wd_tracks: BTreeMap::new(),
+            svc_tracks: BTreeMap::new(),
             pred: None,
             my_nic_known: Vec::new(),
             nic_health,
-            probes: HashMap::new(),
+            probes: BTreeMap::new(),
             ops: HashMap::new(),
             next_id: 0,
             last_role: "",
@@ -460,7 +244,7 @@ impl Gsd {
             needs_rejoin: false,
             hb_seq: 0,
             dir_attempts: 0,
-            dir_resend_nodes: HashMap::new(),
+            dir_resend_nodes: BTreeMap::new(),
             dir_resend_local: 0,
             regroup,
             frozen_span: None,
@@ -475,6 +259,33 @@ impl Gsd {
             draining: false,
             drained: false,
         }
+    }
+
+    /// A GSD to replace `hint`'s failed (or draining) instance. `hint` is
+    /// the old member's info (for an in-place restart its service pids are
+    /// still valid); `members` is the takeover-time membership snapshot
+    /// (the failed member already removed).
+    fn replacement(
+        &self,
+        hint: MemberInfo,
+        members: Vec<MemberInfo>,
+        epoch: u64,
+        action: RecoveryAction,
+    ) -> Gsd {
+        let mut gsd = Gsd::new(
+            hint.partition,
+            self.params.clone(),
+            self.topology.clone(),
+            self.config,
+            self.registry.clone(),
+        );
+        gsd.init = Some(GsdInit::Respawn {
+            hint,
+            members,
+            epoch,
+            action,
+        });
+        gsd
     }
 
     // ---- identity & ring geometry ---------------------------------------
@@ -626,19 +437,13 @@ impl Gsd {
         // Reset predecessor tracking if the predecessor changed.
         let pred = self.predecessor();
         let changed = match (&self.pred, &pred) {
-            (Some(t), Some(p)) => t.member.gsd != p.gsd,
+            (Some((m, _)), Some(p)) => m.gsd != p.gsd,
             (None, None) => false,
             _ => true,
         };
         if changed {
-            self.pred = pred.map(|member| PredTrack {
-                member,
-                last: vec![ctx.now(); self.my_nic_known.len().max(1)],
-                last_seq: vec![0; self.my_nic_known.len().max(1)],
-                nic_down: vec![false; self.my_nic_known.len().max(1)],
-                probing: None,
-                down: false,
-            });
+            let nics = self.my_nic_known.len().max(1);
+            self.pred = pred.map(|member| (member, PeerTrack::new(nics, ctx.now())));
         }
     }
 
@@ -667,6 +472,43 @@ impl Gsd {
                 event: Event::new(etype, origin, payload),
             },
         );
+    }
+
+    /// Keep our own membership entry authoritative.
+    fn patch_local_entry(&mut self) {
+        let local = self.local;
+        for m in &mut self.members {
+            if m.partition == local.partition {
+                *m = local;
+            }
+        }
+    }
+
+    fn directory_update(&self) -> KernelMsg {
+        KernelMsg::DirectoryUpdate {
+            partition: self.partition,
+            member: self.local,
+        }
+    }
+
+    fn membership_msg(&self, epoch: u64) -> KernelMsg {
+        KernelMsg::MetaMembership {
+            epoch,
+            members: self.members.clone().into(),
+        }
+    }
+
+    /// Supervised user-environment services, in pid order.
+    fn user_services(&self) -> impl Iterator<Item = (&Pid, &SvcTrack)> {
+        self.svc_tracks
+            .iter()
+            .filter(|(_, t)| t.kind == ServiceKind::UserEnvironment)
+    }
+
+    /// Start tracking `node`'s (new) watch daemon with fresh evidence.
+    fn track_wd(&mut self, ctx: &Ctx<'_, KernelMsg>, node: NodeId, wd: Pid) {
+        let track = PeerTrack::new(self.my_nic_known.len(), ctx.now());
+        self.wd_tracks.insert(node, (wd, track));
     }
 
     /// The healthiest interface usable toward `peer` (up at both ends), or
@@ -709,16 +551,8 @@ impl Gsd {
                 ctx.send(pid, view.clone());
             }
         }
-        // Supervised user-environment services also get the view (in pid
-        // order — send order must not follow HashMap order).
-        let mut svc_pids: Vec<Pid> = self
-            .svc_tracks
-            .iter()
-            .filter(|(_, t)| t.kind == ServiceKind::UserEnvironment)
-            .map(|(&pid, _)| pid)
-            .collect();
-        svc_pids.sort_unstable();
-        for pid in svc_pids {
+        // Supervised user-environment services also get the view.
+        for (&pid, _) in self.user_services() {
             ctx.send(pid, view.clone());
         }
         if let Some(spec) = self.topology.partition(self.partition) {
@@ -736,10 +570,7 @@ impl Gsd {
         if let Some(leader) = self.leader() {
             if leader.partition == self.partition {
                 self.epoch += 1;
-                let msg = KernelMsg::MetaMembership {
-                    epoch: self.epoch,
-                    members: self.members.clone().into(),
-                };
+                let msg = self.membership_msg(self.epoch);
                 self.broadcast_meta(ctx, msg);
             } else {
                 self.send_routed(
@@ -750,13 +581,7 @@ impl Gsd {
                 );
             }
         }
-        ctx.send(
-            self.config,
-            KernelMsg::DirectoryUpdate {
-                partition: self.partition,
-                member: self.local,
-            },
-        );
+        ctx.send(self.config, self.directory_update());
         if self.params.rpc.retries_enabled() {
             self.dir_resend_local = DIR_RESEND_TICKS;
         }
@@ -764,10 +589,10 @@ impl Gsd {
     }
 
     fn save_supervision(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
+        // In pid order: a respawned GSD replays the roster in this order,
+        // so it decides the replacements' pids.
         let entries: Vec<(String, Pid)> = self
-            .svc_tracks
-            .iter()
-            .filter(|(_, t)| t.kind == ServiceKind::UserEnvironment)
+            .user_services()
             .map(|(&pid, t)| (t.factory.clone(), pid))
             .collect();
         ctx.send(
@@ -826,11 +651,7 @@ impl Gsd {
         }
         self.members = dir.partitions.clone();
         // Patch our own entry (directory was built before spawn order).
-        for m in &mut self.members {
-            if m.partition == self.partition {
-                *m = self.local;
-            }
-        }
+        self.patch_local_entry();
         self.ingest_node_daemons(dir.nodes.iter());
         self.finish_wiring(ctx);
     }
@@ -875,7 +696,7 @@ impl Gsd {
                     let nics = self.my_nic_known.len();
                     self.wd_tracks
                         .entry(node)
-                        .or_insert_with(|| WdTrack::new(ns.wd, nics, now));
+                        .or_insert_with(|| (ns.wd, PeerTrack::new(nics, now)));
                 }
             }
         }
@@ -936,33 +757,15 @@ impl Gsd {
         let rebuild = matches!(action, RecoveryAction::Migrated(_)) || services_died;
         if rebuild {
             // Checkpoint first so the others can restore from it.
-            let mut args = RespawnArgs {
-                kind: ServiceKind::Checkpoint,
-                partition: self.partition,
-                node: ctx.node(),
-                gsd: ctx.pid(),
-                checkpoint: Pid(0),
-                members: self.members.clone(),
-                action,
-                params: self.params.clone(),
+            let spawn_kind = |ctx: &mut Ctx<'_, KernelMsg>, kind: ServiceKind, checkpoint: Pid| {
+                let args = self.respawn_args(ctx, kind, checkpoint, action);
+                let key = kernel_factory_key(kind, self.partition);
+                let built = self.registry.borrow_mut().build(&key, &args);
+                built.map_or(Pid(0), |actor| ctx.spawn(args.node, actor))
             };
-            let reg = self.registry.clone();
-            let spawn_kind = |ctx: &mut Ctx<'_, KernelMsg>,
-                                  args: &RespawnArgs,
-                                  kind: ServiceKind|
-             -> Pid {
-                let key = kernel_factory_key(kind, args.partition);
-                let mut args2 = args.clone();
-                args2.kind = kind;
-                match reg.borrow_mut().build(&key, &args2) {
-                    Some(actor) => ctx.spawn(args2.node, actor),
-                    None => Pid(0),
-                }
-            };
-            let ck = spawn_kind(ctx, &args, ServiceKind::Checkpoint);
-            args.checkpoint = ck;
-            let es = spawn_kind(ctx, &args, ServiceKind::Event);
-            let db = spawn_kind(ctx, &args, ServiceKind::DataBulletin);
+            let ck = spawn_kind(ctx, ServiceKind::Checkpoint, Pid(0));
+            let es = spawn_kind(ctx, ServiceKind::Event, ck);
+            let db = spawn_kind(ctx, ServiceKind::DataBulletin, ck);
             self.local.checkpoint = ck;
             self.local.event = es;
             self.local.bulletin = db;
@@ -987,13 +790,7 @@ impl Gsd {
         // Make sure the instance we replace (if it is somehow still
         // running — false takeover) learns about us and yields.
         if old_gsd != ctx.pid() && old_gsd != Pid(0) {
-            ctx.send(
-                old_gsd,
-                KernelMsg::MetaMembership {
-                    epoch: self.epoch + 1,
-                    members: self.members.clone().into(),
-                },
-            );
+            ctx.send(old_gsd, self.membership_msg(self.epoch + 1));
         }
 
         // Restore the user-environment supervision roster.
@@ -1017,854 +814,6 @@ impl Gsd {
                 ctx.node(),
                 EventPayload::Service(ServiceKind::Group, ctx.node()),
             );
-        }
-    }
-
-    // ---- scanning --------------------------------------------------------
-
-    fn stale(&self, now: SimTime, last: SimTime) -> bool {
-        // K-of-N suspicion: with `suspect_beats` > 1 a peer is only
-        // suspected after that many consecutive intervals of silence, so a
-        // single heartbeat lost to the network never starts a diagnosis.
-        let window = self.params.ft.hb_interval * self.params.ft.suspect_beats as u64
-            + self.params.ft.hb_grace;
-        now.since(last) > window
-    }
-
-    /// Has any (locally reachable) NIC of the probed peer produced a fresh
-    /// heartbeat since the probe started? Used by the probe-abort path.
-    fn probe_target_fresh(&self, kind: ProbeKind, now: SimTime) -> bool {
-        match kind {
-            ProbeKind::Wd(node) => self
-                .wd_tracks
-                .get(&node)
-                .map(|t| t.last.iter().any(|&l| !self.stale(now, l)))
-                .unwrap_or(false),
-            ProbeKind::Meta(partition) => self
-                .pred
-                .as_ref()
-                .filter(|t| t.member.partition == partition)
-                .map(|t| t.last.iter().any(|&l| !self.stale(now, l)))
-                .unwrap_or(false),
-        }
-    }
-
-    /// Suspicion cleared: beats resumed while the probe was in flight, so
-    /// they were lost in the network, not stopped at the source. Ends the
-    /// session without a diagnosis (no trace events — the paper pipeline
-    /// never reaches this state, so traces stay byte-identical).
-    fn abort_probe(&mut self, kind: ProbeKind) {
-        phoenix_telemetry::counter_add("gsd.suspicion.aborted", 1);
-        match kind {
-            ProbeKind::Wd(node) => {
-                if let Some(t) = self.wd_tracks.get_mut(&node) {
-                    t.probing = None;
-                }
-                // Retract the detect→diagnose mark stamped at suspicion
-                // time — the suspicion was false, so there is no diagnose
-                // latency to measure and the mark must not leak.
-                phoenix_telemetry::unmark(
-                    "gsd.detect_to_diagnose",
-                    phoenix_telemetry::key(&[1, node.0 as u64]),
-                );
-            }
-            ProbeKind::Meta(partition) => {
-                if let Some(t) = &mut self.pred {
-                    if t.member.partition == partition {
-                        t.probing = None;
-                    }
-                }
-                phoenix_telemetry::unmark(
-                    "gsd.detect_to_diagnose",
-                    phoenix_telemetry::key(&[2, partition.0 as u64]),
-                );
-            }
-        }
-    }
-
-    fn scan(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let now = ctx.now();
-        self.scan_wds(ctx, now);
-        self.scan_pred(ctx, now);
-        self.scan_svcs(ctx, now);
-    }
-
-    fn scan_wds(&mut self, ctx: &mut Ctx<'_, KernelMsg>, now: SimTime) {
-        let own_node = ctx.node();
-        // Sorted: `wd_tracks` is a HashMap, and the scan order decides the
-        // order probes are sent (and suspicion marks stamped) in — the
-        // event queue and the seeded network draws must not depend on
-        // hash-iteration order.
-        let mut nodes: Vec<NodeId> = self.wd_tracks.keys().copied().collect();
-        nodes.sort_unstable();
-        for node in nodes {
-            // Split-borrow dance: compute the decision, then mutate.
-            let decision = {
-                let t = &self.wd_tracks[&node];
-                if t.node_down || t.probing.is_some() {
-                    continue;
-                }
-                let mut stale_nics = Vec::new();
-                let mut fresh = 0usize;
-                for (i, &last) in t.last.iter().enumerate() {
-                    if t.nic_down[i] {
-                        continue;
-                    }
-                    // Skip NICs that are down on our own side: the
-                    // introspection path owns those.
-                    if !ctx.nic_is_up(own_node, NicId(i as u8)) {
-                        continue;
-                    }
-                    if self.stale(now, last) {
-                        stale_nics.push(i);
-                    } else {
-                        fresh += 1;
-                    }
-                }
-                (stale_nics, fresh)
-            };
-            let (stale_nics, fresh) = decision;
-            if stale_nics.is_empty() {
-                continue;
-            }
-            if fresh == 0 {
-                // Every interface silent: process or node failure; probe
-                // the node's PPM agent to find out.
-                let wd_pid = self.wd_tracks[&node].wd;
-                ctx.trace(TraceEvent::FaultDetected {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Process(wd_pid),
-                });
-                phoenix_telemetry::counter_add("gsd.faults.detected", 1);
-                phoenix_telemetry::counter_add("gsd.suspicion.raised", 1);
-                phoenix_telemetry::mark(
-                    "gsd.detect_to_diagnose",
-                    phoenix_telemetry::key(&[1, node.0 as u64]),
-                );
-                let session = self.start_probe(
-                    ctx,
-                    ProbeKind::Wd(node),
-                    self.node_daemons.get(&node).map(|n| n.ppm).unwrap_or(Pid(0)),
-                    self.params.ft.wd_node_probe_timeout,
-                );
-                self.wd_tracks.get_mut(&node).unwrap().probing = Some(session);
-            } else {
-                // Partial silence: network failure on those interfaces.
-                for i in stale_nics {
-                    ctx.trace(TraceEvent::FaultDetected {
-                        observer: ctx.pid(),
-                        target: FaultTarget::Nic(node, NicId(i as u8)),
-                    });
-                    self.wd_tracks.get_mut(&node).unwrap().nic_down[i] = true;
-                    self.schedule(
-                        ctx,
-                        self.params.ft.nic_analysis_delay,
-                        DelayedOp::NicDiag {
-                            node,
-                            nic: NicId(i as u8),
-                        },
-                    );
-                }
-            }
-        }
-    }
-
-    fn scan_pred(&mut self, ctx: &mut Ctx<'_, KernelMsg>, now: SimTime) {
-        let own_node = ctx.node();
-        let Some(t) = &self.pred else { return };
-        if t.down || t.probing.is_some() {
-            return;
-        }
-        let member = t.member;
-        let mut stale_nics = Vec::new();
-        let mut fresh = 0usize;
-        for (i, &last) in t.last.iter().enumerate() {
-            if t.nic_down[i] {
-                continue;
-            }
-            if !ctx.nic_is_up(own_node, NicId(i as u8)) {
-                continue;
-            }
-            if self.stale(now, last) {
-                stale_nics.push(i);
-            } else {
-                fresh += 1;
-            }
-        }
-        if stale_nics.is_empty() {
-            return;
-        }
-        if fresh == 0 {
-            ctx.trace(TraceEvent::FaultDetected {
-                observer: ctx.pid(),
-                target: FaultTarget::Process(member.gsd),
-            });
-            phoenix_telemetry::counter_add("gsd.faults.detected", 1);
-            phoenix_telemetry::counter_add("gsd.suspicion.raised", 1);
-            phoenix_telemetry::mark(
-                "gsd.detect_to_diagnose",
-                phoenix_telemetry::key(&[2, member.partition.0 as u64]),
-            );
-            let session = self.start_probe(
-                ctx,
-                ProbeKind::Meta(member.partition),
-                member.host_ppm,
-                self.params.ft.meta_node_probe_timeout,
-            );
-            if let Some(t) = &mut self.pred {
-                t.probing = Some(session);
-            }
-            // A silent ring predecessor is exactly what a partition looks
-            // like from here: open a regroup round alongside the probe.
-            // The round concludes before the probe pipeline can ripen
-            // into a takeover, so the quorum verdict is in first.
-            self.start_regroup_round(ctx);
-        } else {
-            for i in stale_nics {
-                ctx.trace(TraceEvent::FaultDetected {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Nic(member.node, NicId(i as u8)),
-                });
-                if let Some(t) = &mut self.pred {
-                    t.nic_down[i] = true;
-                }
-                self.schedule(
-                    ctx,
-                    self.params.ft.nic_analysis_delay,
-                    DelayedOp::NicDiag {
-                        node: member.node,
-                        nic: NicId(i as u8),
-                    },
-                );
-            }
-        }
-    }
-
-    fn scan_svcs(&mut self, ctx: &mut Ctx<'_, KernelMsg>, now: SimTime) {
-        let mut stale: Vec<(Pid, ServiceKind, String)> = self
-            .svc_tracks
-            .iter()
-            .filter(|(_, t)| self.stale(now, t.last))
-            .map(|(&pid, t)| (pid, t.kind, t.factory.clone()))
-            .collect();
-        // Sorted: diagnosis scheduling order must not follow HashMap order.
-        stale.sort_unstable_by_key(|(pid, ..)| *pid);
-        for (pid, kind, factory) in stale {
-            self.svc_tracks.remove(&pid);
-            ctx.trace(TraceEvent::FaultDetected {
-                observer: ctx.pid(),
-                target: FaultTarget::Process(pid),
-            });
-            self.schedule(
-                ctx,
-                self.params.ft.local_diag_delay,
-                DelayedOp::LocalDiagSvc { pid, kind, factory },
-            );
-        }
-    }
-
-    // ---- probes ----------------------------------------------------------
-
-    fn start_probe(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        kind: ProbeKind,
-        target_ppm: Pid,
-        timeout: phoenix_sim::SimDuration,
-    ) -> u64 {
-        let id = self.fresh_id();
-        let span = phoenix_telemetry::span_start("gsd.probe.session", "gsd", ctx.node().0);
-        self.probes.insert(
-            id,
-            ProbeSession {
-                kind,
-                target_ppm,
-                rounds_sent: 0,
-                responses: 0,
-                active: true,
-                last_round_at: None,
-                span,
-            },
-        );
-        // First probe round fires after one spacing; the paper's process
-        // diagnosing time ≈ rounds × spacing.
-        let spacing = self.params.ft.probe_round_interval;
-        self.schedule_probe_round(ctx, id, spacing);
-        self.schedule(ctx, timeout, DelayedOp::ProbeTimeout(id));
-        id
-    }
-
-    fn schedule_probe_round(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        session: u64,
-        after: phoenix_sim::SimDuration,
-    ) {
-        let id = self.fresh_id();
-        self.ops.insert(id, DelayedOp::ProbeRound(session));
-        ctx.set_timer(after, OP_BASE + id);
-    }
-
-    fn probe_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
-        let Some(s) = self.probes.get_mut(&session) else {
-            return;
-        };
-        if !s.active || s.rounds_sent >= self.params.ft.probe_rounds {
-            return;
-        }
-        s.rounds_sent += 1;
-        s.last_round_at = Some(ctx.now());
-        let target = s.target_ppm;
-        let kind = s.kind;
-        phoenix_telemetry::counter_add("gsd.probes.sent", 1);
-        phoenix_telemetry::mark("gsd.probe.rtt", phoenix_telemetry::key(&[session]));
-        // Probes are single-path: route them over the healthiest usable
-        // interface so a degraded NIC cannot eat the very traffic that
-        // decides whether a silent peer is dead.
-        let peer = match kind {
-            ProbeKind::Wd(node) => Some(node),
-            ProbeKind::Meta(partition) => self
-                .pred
-                .as_ref()
-                .filter(|t| t.member.partition == partition)
-                .map(|t| t.member.node),
-        };
-        let req = KernelMsg::ProbeReq { req: RequestId(session) };
-        match peer.and_then(|p| self.best_nic_for(ctx, p)) {
-            Some(nic) => ctx.send_via(target, nic, req),
-            None => ctx.send(target, req),
-        }
-        let spacing = self.params.ft.probe_round_interval;
-        self.schedule_probe_round(ctx, session, spacing);
-    }
-
-    fn on_probe_resp(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
-        let Some(s) = self.probes.get_mut(&session) else {
-            return;
-        };
-        if !s.active {
-            return;
-        }
-        phoenix_telemetry::measure(
-            "gsd.probe.rtt",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[session]),
-        );
-        s.responses += 1;
-        // One RTT sample per probe round (take() so a duplicate response
-        // in the same round cannot double-count).
-        let sent_at = s.last_round_at.take();
-        let kind = s.kind;
-        let done = s.responses >= self.params.ft.probe_rounds;
-        if done {
-            s.active = false;
-            phoenix_telemetry::span_end(s.span);
-        }
-        if self.slow.enabled() {
-            let peer = match kind {
-                ProbeKind::Wd(node) => Some(node),
-                ProbeKind::Meta(partition) => self
-                    .pred
-                    .as_ref()
-                    .filter(|t| t.member.partition == partition)
-                    .map(|t| t.member.node),
-            };
-            if let (Some(node), Some(at)) = (peer, sent_at) {
-                self.observe_peer_rtt(ctx, node, (ctx.now() - at).as_nanos());
-            }
-        }
-        if !done {
-            return;
-        }
-        if self.params.ft.probe_abort_on_fresh && self.probe_target_fresh(kind, ctx.now()) {
-            self.abort_probe(kind);
-            return;
-        }
-        // Node is alive, daemon silent: process failure.
-        match kind {
-            ProbeKind::Wd(node) => self.diagnose_wd_process(ctx, node),
-            ProbeKind::Meta(partition) => self.diagnose_gsd_process(ctx, partition),
-        }
-    }
-
-    fn on_probe_timeout(&mut self, ctx: &mut Ctx<'_, KernelMsg>, session: u64) {
-        let Some(s) = self.probes.get_mut(&session) else {
-            return;
-        };
-        if !s.active {
-            return;
-        }
-        s.active = false;
-        let kind = s.kind;
-        let responses = s.responses;
-        phoenix_telemetry::span_end(s.span);
-        if self.params.ft.probe_abort_on_fresh && self.probe_target_fresh(kind, ctx.now()) {
-            self.abort_probe(kind);
-            return;
-        }
-        if responses > 0 {
-            // The target's PPM answered at least one round before the
-            // deadline: the node is provably reachable, so the missing
-            // rounds are packet loss, not a dead machine. Diagnosing node
-            // death here would strand a live node without a WD (the node
-            // path never restarts daemons). On a clean network all rounds
-            // complete long before the timeout, so this arm never fires.
-            phoenix_telemetry::counter_add("gsd.probes.partial", 1);
-            match kind {
-                ProbeKind::Wd(node) => self.diagnose_wd_process(ctx, node),
-                ProbeKind::Meta(partition) => self.diagnose_gsd_process(ctx, partition),
-            }
-            return;
-        }
-        match kind {
-            ProbeKind::Wd(node) => self.diagnose_wd_node(ctx, node),
-            ProbeKind::Meta(partition) => self.diagnose_gsd_node(ctx, partition),
-        }
-    }
-
-    // ---- diagnoses & recovery ---------------------------------------------
-
-    fn diagnose_wd_process(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId) {
-        let Some(t) = self.wd_tracks.get_mut(&node) else {
-            return;
-        };
-        let wd_pid = t.wd;
-        t.probing = None;
-        phoenix_telemetry::measure(
-            "gsd.detect_to_diagnose",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[1, node.0 as u64]),
-        );
-        ctx.trace(TraceEvent::FaultDiagnosed {
-            observer: ctx.pid(),
-            target: FaultTarget::Process(wd_pid),
-            diagnosis: Diagnosis::ProcessFailure,
-        });
-        self.publish(
-            ctx,
-            EventType::ServiceFault,
-            node,
-            EventPayload::Service(ServiceKind::WatchDaemon, node),
-        );
-        // Restart in place (cost ≈ 0: Table 1 reports 0 µs).
-        let cost = self.params.ft.wd_restart_cost;
-        if cost == phoenix_sim::SimDuration::ZERO {
-            self.restart_wd(ctx, node);
-        } else {
-            self.schedule(ctx, cost, DelayedOp::Restart(RestartWhat::Wd(node)));
-        }
-    }
-
-    fn restart_wd(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId) {
-        let wd = Wd::respawn(
-            node,
-            self.partition,
-            self.params.ft.clone(),
-            ctx.pid(),
-            RecoveryAction::RestartedInPlace,
-        );
-        let new_pid = ctx.spawn(node, Box::new(wd));
-        if let Some(ns) = self.node_daemons.get_mut(&node) {
-            ns.wd = new_pid;
-            let updated = *ns;
-            ctx.send(self.config, KernelMsg::DirectoryUpdateNode { services: updated });
-            if self.params.rpc.retries_enabled() {
-                self.dir_resend_nodes.insert(node, (updated, DIR_RESEND_TICKS));
-            }
-        }
-        let now = ctx.now();
-        let nics = self.my_nic_known.len();
-        self.wd_tracks.insert(node, WdTrack::new(new_pid, nics, now));
-        self.publish(
-            ctx,
-            EventType::ServiceRecovery,
-            node,
-            EventPayload::Service(ServiceKind::WatchDaemon, node),
-        );
-    }
-
-    fn diagnose_wd_node(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId) {
-        // Slow ≠ down: a node whose RTT evidence says "alive but degraded"
-        // must never be declared dead while that evidence is fresh. Once
-        // its pongs stop, the veto lapses and fail-stop diagnosis resumes.
-        if self.slow_alive_veto(ctx.now(), node) {
-            if let Some(t) = self.wd_tracks.get_mut(&node) {
-                t.probing = None;
-            }
-            phoenix_telemetry::counter_add("gsd.slow.dead_vetoed", 1);
-            ctx.trace(TraceEvent::Milestone {
-                label: "slow-not-dead",
-                value: node.0 as f64,
-            });
-            return;
-        }
-        if let Some(t) = self.wd_tracks.get_mut(&node) {
-            t.probing = None;
-            t.node_down = true;
-        }
-        self.slow.mark_dead(node);
-        phoenix_telemetry::measure(
-            "gsd.detect_to_diagnose",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[1, node.0 as u64]),
-        );
-        ctx.trace(TraceEvent::FaultDiagnosed {
-            observer: ctx.pid(),
-            target: FaultTarget::Node(node),
-            diagnosis: Diagnosis::NodeFailure,
-        });
-        // "for WD, in case of node failure, the recovery time is 0,
-        // because ... migrating WD means nothing."
-        ctx.trace(TraceEvent::Recovered {
-            target: FaultTarget::Node(node),
-            action: RecoveryAction::NoneNeeded,
-        });
-        self.publish(ctx, EventType::NodeFault, node, EventPayload::Node(node));
-    }
-
-    fn diagnose_gsd_process(&mut self, ctx: &mut Ctx<'_, KernelMsg>, partition: PartitionId) {
-        if !self.regroup_licenses_takeover(ctx, partition) {
-            return;
-        }
-        let Some(t) = &mut self.pred else { return };
-        if t.member.partition != partition {
-            return;
-        }
-        t.probing = None;
-        t.down = true;
-        let failed = t.member;
-        phoenix_telemetry::measure(
-            "gsd.detect_to_diagnose",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[2, partition.0 as u64]),
-        );
-        self.takeover_seq += 1;
-        let plan = self.takeover_seq;
-        phoenix_telemetry::mark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
-        ctx.trace(TraceEvent::FaultDiagnosed {
-            observer: ctx.pid(),
-            target: FaultTarget::Process(failed.gsd),
-            diagnosis: Diagnosis::ProcessFailure,
-        });
-        self.publish(
-            ctx,
-            EventType::ServiceFault,
-            failed.node,
-            EventPayload::Service(ServiceKind::Group, failed.node),
-        );
-        self.remove_member(ctx, partition, Diagnosis::ProcessFailure);
-        let members = self.members.clone();
-        self.schedule(
-            ctx,
-            self.params.ft.gsd_restart_cost,
-            DelayedOp::Restart(RestartWhat::GsdInPlace {
-                hint: failed,
-                members,
-                epoch: self.epoch,
-                plan,
-            }),
-        );
-    }
-
-    fn diagnose_gsd_node(&mut self, ctx: &mut Ctx<'_, KernelMsg>, partition: PartitionId) {
-        if !self.regroup_licenses_takeover(ctx, partition) {
-            return;
-        }
-        let Some(failed) = self
-            .pred
-            .as_ref()
-            .map(|t| t.member)
-            .filter(|m| m.partition == partition)
-        else {
-            return;
-        };
-        // Slow ≠ down: fresh RTT evidence of life vetoes the dead verdict
-        // (the quarantine path handles degraded-but-alive predecessors).
-        if self.slow_alive_veto(ctx.now(), failed.node) {
-            if let Some(t) = &mut self.pred {
-                t.probing = None;
-            }
-            phoenix_telemetry::counter_add("gsd.slow.dead_vetoed", 1);
-            ctx.trace(TraceEvent::Milestone {
-                label: "slow-not-dead",
-                value: failed.node.0 as f64,
-            });
-            return;
-        }
-        let Some(t) = &mut self.pred else { return };
-        t.probing = None;
-        t.down = true;
-        self.slow.mark_dead(failed.node);
-        phoenix_telemetry::measure(
-            "gsd.detect_to_diagnose",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[2, partition.0 as u64]),
-        );
-        self.takeover_seq += 1;
-        let plan = self.takeover_seq;
-        phoenix_telemetry::mark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
-        ctx.trace(TraceEvent::FaultDiagnosed {
-            observer: ctx.pid(),
-            target: FaultTarget::Node(failed.node),
-            diagnosis: Diagnosis::NodeFailure,
-        });
-        self.publish(ctx, EventType::NodeFault, failed.node, EventPayload::Node(failed.node));
-        self.remove_member(ctx, partition, Diagnosis::NodeFailure);
-        // Choose a backup node of the failed partition to migrate to,
-        // preferring nodes the fail-slow detector considers healthy
-        // (falling back to a degraded one over not migrating at all).
-        let target = self
-            .topology
-            .partition(partition)
-            .map(|spec| {
-                let up: Vec<NodeId> = spec
-                    .backups
-                    .iter()
-                    .chain(spec.compute.iter())
-                    .copied()
-                    .filter(|&n| n != failed.node && ctx.node_is_up(n))
-                    .collect();
-                up.iter()
-                    .copied()
-                    .find(|&n| !self.placement_degraded(n))
-                    .or_else(|| up.first().copied())
-            })
-            .unwrap_or(None);
-        match target {
-            Some(to) => {
-                let members = self.members.clone();
-                self.schedule(
-                    ctx,
-                    self.params.ft.gsd_migrate_cost,
-                    DelayedOp::Restart(RestartWhat::GsdMigrate {
-                        hint: failed,
-                        members,
-                        epoch: self.epoch,
-                        to,
-                        plan,
-                    }),
-                );
-            }
-            None => {
-                phoenix_telemetry::unmark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
-                ctx.trace(TraceEvent::Milestone {
-                    label: "no-backup-node",
-                    value: partition.0 as f64,
-                });
-            }
-        }
-    }
-
-    fn remove_member(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        partition: PartitionId,
-        diagnosis: Diagnosis,
-    ) {
-        self.members.retain(|m| m.partition != partition);
-        self.broadcast_meta(
-            ctx,
-            KernelMsg::MetaMemberDown {
-                partition,
-                diagnosis,
-            },
-        );
-        self.refresh_roles(ctx);
-    }
-
-    /// A replacement GSD can only be started on a machine we can route to:
-    /// remote exec across a severed island is a connection failure, not a
-    /// silent success. Retracts the takeover mark stamped at diagnosis /
-    /// rescue time so the skipped spawn does not leak a pending measure;
-    /// the rescue sweep retries once the partition heals.
-    fn spawn_target_reachable(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        partition: PartitionId,
-        node: NodeId,
-        plan: u64,
-    ) -> bool {
-        if ctx.node_reachable(node) {
-            return true;
-        }
-        phoenix_telemetry::unmark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
-        ctx.trace(TraceEvent::Milestone {
-            label: "gsd-spawn-unreachable",
-            value: partition.0 as f64,
-        });
-        false
-    }
-
-    fn execute_restart(&mut self, ctx: &mut Ctx<'_, KernelMsg>, what: RestartWhat) {
-        match what {
-            RestartWhat::Wd(node) => self.restart_wd(ctx, node),
-            RestartWhat::Svc { kind, factory } => {
-                let args = RespawnArgs {
-                    kind,
-                    partition: self.partition,
-                    node: ctx.node(),
-                    gsd: ctx.pid(),
-                    checkpoint: self.local.checkpoint,
-                    members: self.members.clone(),
-                    action: RecoveryAction::RestartedInPlace,
-                    params: self.params.clone(),
-                };
-                let built = self.registry.borrow_mut().build(&factory, &args);
-                match built {
-                    Some(actor) => {
-                        ctx.spawn(ctx.node(), actor);
-                        // The replacement registers itself (SvcRegister),
-                        // which updates `local` and broadcasts.
-                    }
-                    None => ctx.trace(TraceEvent::Milestone {
-                        label: "no-factory",
-                        value: 0.0,
-                    }),
-                }
-            }
-            RestartWhat::GsdInPlace {
-                hint,
-                members,
-                epoch,
-                plan,
-            } => {
-                if self.members.iter().any(|m| m.partition == hint.partition) {
-                    // Already rejoined (rescued by someone else); retract the
-                    // abandoned plan's mark so it cannot linger.
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), hint.partition, plan),
-                    );
-                    return;
-                }
-                if !self.spawn_target_reachable(ctx, hint.partition, hint.node, plan) {
-                    return;
-                }
-                phoenix_telemetry::counter_add("gsd.takeovers", 1);
-                phoenix_telemetry::measure(
-                    "gsd.takeover",
-                    "gsd",
-                    ctx.node().0,
-                    takeover_key(ctx.pid(), hint.partition, plan),
-                );
-                let gsd = Gsd::respawn(
-                    hint.partition,
-                    self.params.clone(),
-                    self.topology.clone(),
-                    self.config,
-                    self.registry.clone(),
-                    hint,
-                    members,
-                    epoch.max(self.epoch),
-                    RecoveryAction::RestartedInPlace,
-                );
-                ctx.spawn(hint.node, Box::new(gsd));
-            }
-            RestartWhat::GsdMigrate {
-                hint,
-                members,
-                epoch,
-                to,
-                plan,
-            } => {
-                if self.members.iter().any(|m| m.partition == hint.partition) {
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), hint.partition, plan),
-                    );
-                    return;
-                }
-                if !self.spawn_target_reachable(ctx, hint.partition, to, plan) {
-                    return;
-                }
-                phoenix_telemetry::counter_add("gsd.takeovers", 1);
-                phoenix_telemetry::measure(
-                    "gsd.takeover",
-                    "gsd",
-                    ctx.node().0,
-                    takeover_key(ctx.pid(), hint.partition, plan),
-                );
-                let gsd = Gsd::respawn(
-                    hint.partition,
-                    self.params.clone(),
-                    self.topology.clone(),
-                    self.config,
-                    self.registry.clone(),
-                    hint,
-                    members,
-                    epoch.max(self.epoch),
-                    RecoveryAction::Migrated(to),
-                );
-                ctx.spawn(to, Box::new(gsd));
-            }
-            RestartWhat::GsdRescue { partition, plan } => {
-                self.rescuing.remove(&partition);
-                if self.members.iter().any(|m| m.partition == partition) {
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), partition, plan),
-                    );
-                    return;
-                }
-                let Some(hint) = self.last_known.get(&partition).copied() else {
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), partition, plan),
-                    );
-                    return;
-                };
-                let members = self.members.clone();
-                let epoch = self.epoch;
-                // Restart in place if the old host is up, else migrate.
-                if ctx.node_is_up(hint.node) {
-                    self.execute_restart(
-                        ctx,
-                        RestartWhat::GsdInPlace {
-                            hint,
-                            members,
-                            epoch,
-                            plan,
-                        },
-                    );
-                } else if let Some(to) = self
-                    .topology
-                    .partition(partition)
-                    .and_then(|spec| {
-                        let up: Vec<NodeId> = spec
-                            .backups
-                            .iter()
-                            .chain(spec.compute.iter())
-                            .copied()
-                            .filter(|&n| n != hint.node && ctx.node_is_up(n))
-                            .collect();
-                        up.iter()
-                            .copied()
-                            .find(|&n| !self.placement_degraded(n))
-                            .or_else(|| up.first().copied())
-                    })
-                {
-                    self.execute_restart(
-                        ctx,
-                        RestartWhat::GsdMigrate {
-                            hint,
-                            members,
-                            epoch,
-                            to,
-                            plan,
-                        },
-                    );
-                } else {
-                    phoenix_telemetry::unmark(
-                        "gsd.takeover",
-                        takeover_key(ctx.pid(), partition, plan),
-                    );
-                }
-            }
         }
     }
 
@@ -1899,75 +848,28 @@ impl Gsd {
         }
     }
 
-    fn introspect_own_nics(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let own = ctx.node();
-        for i in 0..self.my_nic_known.len() {
-            let up = ctx.nic_is_up(own, NicId(i as u8));
-            let was = self.my_nic_known[i];
-            if was && !up {
-                ctx.trace(TraceEvent::FaultDetected {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Nic(own, NicId(i as u8)),
-                });
-                self.schedule(
-                    ctx,
-                    self.params.ft.local_diag_delay,
-                    DelayedOp::LocalDiagNic { nic: NicId(i as u8) },
-                );
-            } else if !was && up {
-                self.publish(
-                    ctx,
-                    EventType::NetworkRecovery,
-                    own,
-                    EventPayload::Nic(own, NicId(i as u8)),
-                );
-            }
-            self.my_nic_known[i] = up;
-        }
-    }
-
     /// Re-assert recently changed directory entries to config. Only active
     /// under a retrying policy; a bounded number of repeats per change.
     fn directory_anti_entropy(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         if self.dir_resend_local > 0 {
             self.dir_resend_local -= 1;
+            ctx.send(self.config, self.directory_update());
+        }
+        for (services, left) in self.dir_resend_nodes.values_mut() {
+            *left -= 1;
             ctx.send(
                 self.config,
-                KernelMsg::DirectoryUpdate {
-                    partition: self.partition,
-                    member: self.local,
+                KernelMsg::DirectoryUpdateNode {
+                    services: *services,
                 },
             );
         }
-        if self.dir_resend_nodes.is_empty() {
-            return;
-        }
-        // Sorted so send order (and thus the event queue) is deterministic.
-        let mut nodes: Vec<NodeId> = self.dir_resend_nodes.keys().copied().collect();
-        nodes.sort_by_key(|n| n.0);
-        for node in nodes {
-            let Some((ns, left)) = self.dir_resend_nodes.get_mut(&node) else {
-                continue;
-            };
-            let services = *ns;
-            *left -= 1;
-            let done = *left == 0;
-            ctx.send(self.config, KernelMsg::DirectoryUpdateNode { services });
-            if done {
-                self.dir_resend_nodes.remove(&node);
-            }
-        }
+        self.dir_resend_nodes.retain(|_, (_, left)| *left > 0);
     }
 
     fn tick(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
         self.send_meta_heartbeats(ctx);
         self.introspect_own_nics(ctx);
-        if self.nic_health.enabled() {
-            for i in 0..self.nic_health.nic_count() {
-                let nic = NicId(i as u8);
-                phoenix_telemetry::gauge_set(nic_health_gauge(nic), self.nic_health.score(nic));
-            }
-        }
         // A frozen GSD keeps beating (so its same-island successor never
         // mistakes the freeze for a death) but performs no authoritative
         // work: no directory writes, no checkpoints, no rescues, no
@@ -1997,944 +899,6 @@ impl Gsd {
             }
         }
         ctx.set_timer(self.params.ft.hb_interval, TOK_TICK);
-    }
-
-    /// Leader safety net: if a topology partition has no meta-group member
-    /// (its takeover plan died with the daemon that scheduled it), the
-    /// leader schedules a rescue. Executed with a still-missing guard, so
-    /// a concurrent normal takeover wins harmlessly.
-    fn rescue_sweep(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if self.role() != "leader" {
-            return;
-        }
-        let missing: Vec<PartitionId> = self
-            .topology
-            .partitions
-            .iter()
-            .map(|p| p.id)
-            .filter(|p| {
-                self.members.iter().all(|m| m.partition != *p) && !self.rescuing.contains(p)
-            })
-            .collect();
-        for partition in missing {
-            self.rescuing.insert(partition);
-            self.takeover_seq += 1;
-            let plan = self.takeover_seq;
-            phoenix_telemetry::mark("gsd.takeover", takeover_key(ctx.pid(), partition, plan));
-            ctx.trace(TraceEvent::Milestone {
-                label: "gsd-rescue-scheduled",
-                value: partition.0 as f64,
-            });
-            self.schedule(
-                ctx,
-                self.params.ft.gsd_restart_cost,
-                DelayedOp::Restart(RestartWhat::GsdRescue { partition, plan }),
-            );
-        }
-    }
-
-    // ---- fail-slow detection (latency-aware suspicion & quarantine) --------
-
-    /// A node is a poor placement target while the detector reads it Slow.
-    /// Callers always keep a degraded fallback: quarantine must never turn
-    /// "migrate somewhere imperfect" into "migrate nowhere".
-    fn placement_degraded(&self, node: NodeId) -> bool {
-        self.slow.enabled() && self.slow.is_slow(node)
-    }
-
-    /// "It's not everyone else — it's me": when a strict majority of this
-    /// observer's warmed peers read Slow, the common element in every one
-    /// of those stretched RTTs is this node itself. While that holds, the
-    /// verdicts must not be used *against* peers (no quarantine additions,
-    /// no yield requests, no placement vetoes) — a degraded node handing
-    /// out quarantines would decapitate a healthy cluster.
-    fn gray_self(&self) -> bool {
-        let mut warmed = 0u32;
-        let mut slow = 0u32;
-        for (node, v) in self.slow.verdicts() {
-            if v != SlowVerdict::Dead && self.slow.warmed(node) {
-                warmed += 1;
-                if v == SlowVerdict::Slow {
-                    slow += 1;
-                }
-            }
-        }
-        warmed >= 2 && slow * 2 > warmed
-    }
-
-    /// Slow ≠ down: a Slow verdict plus *fresh* RTT evidence vetoes a dead
-    /// diagnosis. The freshness gate keeps the veto from becoming a
-    /// livelock — a slow node that later genuinely dies stops answering,
-    /// the evidence goes stale within one suspicion window, and the
-    /// fail-stop pipeline proceeds as if the veto never existed.
-    fn slow_alive_veto(&self, now: SimTime, node: NodeId) -> bool {
-        self.slow.enabled()
-            && self.slow.is_slow(node)
-            && self
-                .slow_last_seen
-                .get(&node)
-                .map(|&l| !self.stale(now, l))
-                .unwrap_or(false)
-    }
-
-    /// One RTT sample for a peer node, from any source (slow pong, probe
-    /// response). Feeds the detector and refreshes the evidence-of-life
-    /// stamp the dead-veto consults.
-    fn observe_peer_rtt(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId, rtt_ns: u64) {
-        if !self.slow.enabled() {
-            return;
-        }
-        self.slow_last_seen.insert(node, ctx.now());
-        if let Some(tr) = self.slow.observe_rtt(node, rtt_ns) {
-            self.apply_slow_transition(ctx, tr);
-        }
-    }
-
-    fn apply_slow_transition(&mut self, ctx: &mut Ctx<'_, KernelMsg>, tr: SlowTransition) {
-        match tr {
-            SlowTransition::Quarantined(node) => {
-                phoenix_telemetry::counter_add("gsd.slow.suspected", 1);
-                ctx.trace(TraceEvent::Milestone {
-                    label: "slow-suspected",
-                    value: node.0 as f64,
-                });
-            }
-            SlowTransition::Reinstated(node) => {
-                phoenix_telemetry::counter_add("gsd.slow.reinstated", 1);
-                ctx.trace(TraceEvent::Milestone {
-                    label: "slow-reinstated",
-                    value: node.0 as f64,
-                });
-            }
-        }
-    }
-
-    fn send_slow_ping(&mut self, ctx: &mut Ctx<'_, KernelMsg>, node: NodeId, to: Pid) {
-        self.slow_ping_seq += 1;
-        let seq = self.slow_ping_seq;
-        self.slow_ping_sent.insert(seq, (node, ctx.now()));
-        self.send_routed(ctx, to, node, KernelMsg::SlowPing { seq });
-    }
-
-    /// One slow-ping round per tick. Everyone samples its ring
-    /// predecessor (the node it must judge before ever suspecting it —
-    /// and for the princess, the predecessor *is* the leader); the leader
-    /// additionally samples every member and its own partition's
-    /// placement-candidate nodes via their watch daemons.
-    fn slow_probe_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let now = ctx.now();
-        // Expire pings past the horizon: a pong that took 8 beats is not
-        // a latency sample, and the map must stay bounded under loss.
-        let horizon = self.params.ft.hb_interval * 8;
-        self.slow_ping_sent.retain(|_, (_, at)| now.since(*at) <= horizon);
-        let mut targets: Vec<(NodeId, Pid)> = Vec::new();
-        if let Some(p) = self.predecessor() {
-            if p.gsd != Pid(0) {
-                targets.push((p.node, p.gsd));
-            }
-        }
-        if self.role() == "leader" {
-            for m in &self.members {
-                if m.partition != self.partition && m.gsd != Pid(0) {
-                    targets.push((m.node, m.gsd));
-                }
-            }
-            // Placement candidates: this partition's own nodes, via their
-            // watch daemons (sorted node order for determinism).
-            let mut wds: Vec<(NodeId, Pid)> = self
-                .node_daemons
-                .iter()
-                .map(|(&n, s)| (n, s.wd))
-                .collect();
-            wds.sort_by_key(|&(n, _)| n);
-            targets.extend(wds.into_iter().filter(|&(_, wd)| wd != Pid(0)));
-        }
-        let own = ctx.node();
-        let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-        for (node, to) in targets {
-            if node == own || !seen.insert(node) {
-                continue;
-            }
-            self.send_slow_ping(ctx, node, to);
-        }
-    }
-
-    /// Health-ranked witness candidates: healthy partitions before
-    /// quarantined/slow ones, then by slowness score, ties by partition
-    /// id — so with no slowness observed this is exactly the legacy
-    /// lowest-id order.
-    fn witness_preference(&self) -> Vec<PartitionId> {
-        let mut pref: Vec<(bool, f64, PartitionId)> = self
-            .members
-            .iter()
-            .map(|m| {
-                let degraded =
-                    self.quarantined.contains(&m.partition) || self.slow.is_slow(m.node);
-                (degraded, self.slow.score(m.node), m.partition)
-            })
-            .collect();
-        pref.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.cmp(&b.2)));
-        pref.into_iter().map(|(_, _, p)| p).collect()
-    }
-
-    /// Per-tick fail-slow duties beyond pinging: the princess asks a
-    /// degraded leader to yield, any licensed node refreshes the witness
-    /// preference, and the leader converges the quarantine set.
-    fn slow_maintenance(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let now = ctx.now();
-        // Princess duty: the leader has no ring successor judging it for
-        // takeover purposes, but the princess (whose predecessor it is)
-        // holds a live RTT profile — a degraded leader is asked to shed
-        // leadership *without* any takeover machinery firing.
-        if self.role() == "princess" && !self.gray_self() {
-            if let Some(l) = self.leader() {
-                if l.partition != self.partition
-                    && self.slow.is_slow(l.node)
-                    && !self.quarantined.contains(&l.partition)
-                {
-                    phoenix_telemetry::counter_add("gsd.slow.yield_requests", 1);
-                    self.send_routed(
-                        ctx,
-                        l.gsd,
-                        l.node,
-                        KernelMsg::SlowLeaderYield {
-                            from_partition: self.partition,
-                        },
-                    );
-                }
-            }
-        }
-        // Witness preference is only consulted when a failover fires
-        // under a ripened licence; refresh it on the same licence so a
-        // minority island can never install a ranking, and never from a
-        // gray-self observer whose ranking is its own slowness.
-        if self.regroup.votes_enabled() && !self.gray_self() && self.regroup.takeover_licensed(now)
-        {
-            let pref = self.witness_preference();
-            self.regroup.set_witness_preference(pref);
-        }
-        if self.role() != "leader" {
-            return;
-        }
-        for (node, v) in self.slow.verdicts() {
-            let val = match v {
-                SlowVerdict::Healthy => 0.0,
-                SlowVerdict::Slow => 1.0,
-                SlowVerdict::Dead => 2.0,
-            };
-            phoenix_telemetry::gauge_set(slow_verdict_gauge(node), val);
-            phoenix_telemetry::gauge_set(slow_score_gauge(node), self.slow.score(node));
-        }
-        phoenix_telemetry::gauge_set("gsd.slow.quarantined", self.quarantined.len() as f64);
-        // Converge the quarantine set from member-server-node verdicts.
-        // Removal requires a *warmed* Healthy verdict, not the absence of
-        // a Slow one: a fresh leader whose detector never saw the node
-        // slow must re-earn the reinstatement, not inherit it.
-        let gray = self.gray_self();
-        let mut cand: BTreeSet<PartitionId> = BTreeSet::new();
-        let mut next = self.quarantined.clone();
-        for m in &self.members {
-            if m.partition == self.partition {
-                continue; // the leader's own health is the princess's call
-            }
-            if self.slow.is_slow(m.node) {
-                if !gray {
-                    cand.insert(m.partition);
-                    if self.slow_pending.contains(&m.partition) {
-                        next.insert(m.partition);
-                    }
-                }
-            } else if self.slow.warmed(m.node) && self.slow.verdict(m.node) == SlowVerdict::Healthy
-            {
-                next.remove(&m.partition);
-            }
-        }
-        self.slow_pending = cand;
-        // A partition that left the membership entirely is the fail-stop
-        // pipeline's problem, not quarantine's.
-        next.retain(|p| self.members.iter().any(|m| m.partition == *p));
-        if next != self.quarantined {
-            self.set_quarantine(ctx, next);
-        } else if !self.quarantined.is_empty() {
-            // Same-epoch refresh: late joiners (empty set, epoch 0) adopt
-            // the ring order within one tick; everyone else no-ops.
-            let msg = KernelMsg::MetaQuarantine {
-                epoch: self.quarantine_epoch,
-                quarantined: self.quarantined.iter().copied().collect(),
-            };
-            self.broadcast_meta(ctx, msg);
-        }
-    }
-
-    /// Install a new quarantine set, broadcast it under a bumped epoch,
-    /// and re-derive the ring order locally. Called by the leader's
-    /// convergence pass and by a leader self-quarantining on yield.
-    fn set_quarantine(&mut self, ctx: &mut Ctx<'_, KernelMsg>, next: BTreeSet<PartitionId>) {
-        self.quarantined = next;
-        self.quarantine_epoch += 1;
-        phoenix_telemetry::gauge_set("gsd.slow.quarantined", self.quarantined.len() as f64);
-        ctx.trace(TraceEvent::Milestone {
-            label: "slow-quarantine",
-            value: self.quarantined.len() as f64,
-        });
-        let msg = KernelMsg::MetaQuarantine {
-            epoch: self.quarantine_epoch,
-            quarantined: self.quarantined.iter().copied().collect(),
-        };
-        self.broadcast_meta(ctx, msg);
-        self.refresh_roles(ctx);
-        self.push_partition_view(ctx);
-        self.maybe_drain(ctx);
-    }
-
-    /// Quarantined-and-on-the-degraded-node: hand the partition to a
-    /// healthier home node by spawning our own replacement there — the
-    /// existing Migrate/duplicate-resolution machinery does the rest (the
-    /// replacement joins, the leader replaces our entry, the membership
-    /// naming the newer pid makes us yield). No `FaultDiagnosed`, no
-    /// takeover marks: nothing died.
-    fn maybe_drain(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if self.draining || self.drained || !self.quarantined.contains(&self.partition) {
-            return;
-        }
-        let own = ctx.node();
-        // A gray-self observer's placement vetoes are its own slowness
-        // reflected back — ignore them, or the drain could never fire.
-        let gray = self.gray_self();
-        let Some(to) = self.topology.partition(self.partition).and_then(|spec| {
-            spec.backups
-                .iter()
-                .chain(spec.compute.iter())
-                .copied()
-                .find(|&n| n != own && ctx.node_is_up(n) && (gray || !self.placement_degraded(n)))
-        }) else {
-            return; // no healthy home node: stay put, keep serving
-        };
-        self.draining = true;
-        phoenix_telemetry::counter_add("gsd.slow.drains", 1);
-        ctx.trace(TraceEvent::Milestone {
-            label: "slow-drain",
-            value: self.partition.0 as f64,
-        });
-        let hint = self.local;
-        let members: Vec<MemberInfo> = self
-            .members
-            .iter()
-            .copied()
-            .filter(|m| m.partition != self.partition)
-            .collect();
-        let mut gsd = Gsd::respawn(
-            self.partition,
-            self.params.clone(),
-            self.topology.clone(),
-            self.config,
-            self.registry.clone(),
-            hint,
-            members,
-            self.epoch,
-            RecoveryAction::Migrated(to),
-        );
-        // The clone must share our quarantine view (ring order!) and must
-        // not re-drain off its fresh node on a not-yet-warmed-out entry.
-        gsd.quarantined = self.quarantined.clone();
-        gsd.quarantine_epoch = self.quarantine_epoch;
-        gsd.drained = true;
-        ctx.spawn(to, Box::new(gsd));
-    }
-
-    /// Test/introspection: per-peer fail-slow verdicts as this GSD sees
-    /// them.
-    pub fn slow_verdicts(&self) -> Vec<(NodeId, SlowVerdict)> {
-        self.slow.verdicts()
-    }
-
-    /// Test/introspection: the adopted quarantine view.
-    pub fn quarantine_view(&self) -> (u64, Vec<PartitionId>) {
-        (
-            self.quarantine_epoch,
-            self.quarantined.iter().copied().collect(),
-        )
-    }
-
-    /// Test/introspection: ring membership order as currently sorted.
-    pub fn ring_order(&self) -> Vec<PartitionId> {
-        self.members.iter().map(|m| m.partition).collect()
-    }
-
-    /// Test/introspection: whether a slow-drain handoff is in flight.
-    pub fn is_draining(&self) -> bool {
-        self.draining
-    }
-
-    // ---- quorum regroup (MSCS-style; paper-adjacent split-brain cure) ------
-
-    /// Open a regroup round: ping the best-known GSD of every configured
-    /// partition and arm the round-window timer. No-op when the layer is
-    /// disabled or a round is already collecting.
-    fn start_regroup_round(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if !self.regroup.enabled() || self.regroup.round_active() {
-            return;
-        }
-        let round = self.regroup.begin_round(ctx.now());
-        phoenix_telemetry::counter_add("gsd.regroup.rounds", 1);
-        self.round_span = Some(match self.frozen_span {
-            Some(parent) => phoenix_telemetry::span_child(
-                "gsd.regroup.round",
-                "gsd",
-                ctx.node().0,
-                parent,
-            ),
-            None => phoenix_telemetry::span_start("gsd.regroup.round", "gsd", ctx.node().0),
-        });
-        let ping = KernelMsg::RegroupPing {
-            from_partition: self.partition,
-            epoch: self.epoch,
-            round,
-            witness: self.regroup.witness().unwrap_or(PartitionId(0)),
-            witness_epoch: self.regroup.witness_epoch(),
-        };
-        // Every *configured* partition, not just current members: a
-        // frozen side keeps pinging partitions its stale membership may
-        // have lost, and a majority side pings the minority it removed
-        // (`last_known` keeps the pre-removal coordinates).
-        for p in self.topology.partitions.iter().map(|p| p.id) {
-            if p == self.partition {
-                continue;
-            }
-            let target = self
-                .members
-                .iter()
-                .find(|m| m.partition == p)
-                .copied()
-                .or_else(|| self.last_known.get(&p).copied());
-            if let Some(m) = target {
-                if m.gsd != Pid(0) {
-                    self.send_routed(ctx, m.gsd, m.node, ping.clone());
-                }
-            }
-        }
-        // Vote-table profiles also collect home-node testimony: each
-        // peer partition's own watch daemons are asked whether the GSD
-        // they track is alive. A partition that never acks but whose own
-        // nodes unanimously report its GSD dead is discounted from the
-        // quorum denominator — the escape hatch from the all-dark state
-        // where enough GSDs (witness included) died that every island
-        // is a strict weighted minority. Only home nodes may testify:
-        // they are the nodes an in-place respawn lands on, so the
-        // evidence cannot sit on the far side of a split from a rescued
-        // replacement.
-        if self.regroup.votes_enabled() {
-            let mut probe_targets: Vec<(Pid, NodeId)> = Vec::new();
-            for spec in &self.topology.partitions {
-                if spec.id == self.partition {
-                    continue;
-                }
-                for node in spec.all_nodes() {
-                    if let Some(&wd) = self.cluster_wds.get(&node) {
-                        if wd != Pid(0) {
-                            probe_targets.push((wd, node));
-                        }
-                    }
-                }
-            }
-            for (wd, node) in probe_targets {
-                self.send_routed(ctx, wd, node, KernelMsg::RegroupProbe { round });
-            }
-        }
-        ctx.set_timer(self.params.ft.regroup.round_window, TOK_REGROUP);
-    }
-
-    /// The round window closed: compute the connected component and act
-    /// on the quorum verdict.
-    fn conclude_regroup(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let Some(c) = self.regroup.conclude(self.partition, ctx.now()) else {
-            return;
-        };
-        if let Some(span) = self.round_span.take() {
-            phoenix_telemetry::span_end(span);
-        }
-        phoenix_telemetry::gauge_set("gsd.regroup.epoch", self.regroup.epoch() as f64);
-        if let Some(lat) = self.regroup.round_latency_ewma() {
-            phoenix_telemetry::gauge_set(
-                "gsd.regroup.round_latency",
-                lat.as_secs_f64() * 1e3,
-            );
-            phoenix_telemetry::gauge_set(
-                "gsd.regroup.takeover_delay",
-                self.regroup.effective_takeover_delay().as_secs_f64() * 1e3,
-            );
-        }
-        if let Some(w) = self.regroup.witness() {
-            phoenix_telemetry::gauge_set("gsd.regroup.witness", w.0 as f64);
-            phoenix_telemetry::gauge_set(
-                "gsd.regroup.witness_epoch",
-                self.regroup.witness_epoch() as f64,
-            );
-        }
-        if !c.dead.is_empty() {
-            // Quorum denominator shrank on home-node dead testimony.
-            phoenix_telemetry::counter_add(
-                "gsd.regroup.dead_discounts",
-                c.dead.len() as u64,
-            );
-        }
-        if let Some(w) = c.witness_failover {
-            // The held majority moved the witness off an unreachable
-            // partition; record it and tell the config service so an
-            // operator (and GridView) can see the new quorum anchor.
-            phoenix_telemetry::counter_add("gsd.regroup.witness_failover", 1);
-            ctx.trace(TraceEvent::Milestone {
-                label: "witness-failover",
-                value: w.0 as f64,
-            });
-            if c.reachable.first() == Some(&self.partition) {
-                ctx.send(
-                    self.config,
-                    KernelMsg::CfgSetParam {
-                        req: RequestId(0),
-                        key: "regroup_witness".to_string(),
-                        value: format!("{}:{}", w.0, self.regroup.witness_epoch()),
-                    },
-                );
-            }
-        }
-        match c.verdict {
-            Verdict::Majority if !self.regroup.frozen() => {
-                // We hold quorum: normal operation (the concluded round
-                // is the takeover licence `majority_confirmed` checks).
-                // The lowest reachable partition flags the unreachable
-                // side's directory entries stale so clients stop routing
-                // to daemons nobody can vouch for.
-                if c.reachable.first() == Some(&self.partition) {
-                    for p in self.topology.partitions.iter().map(|p| p.id) {
-                        if !c.reachable.contains(&p) {
-                            ctx.send(
-                                self.config,
-                                KernelMsg::DirectoryStale {
-                                    partition: p,
-                                    stale: true,
-                                },
-                            );
-                        }
-                    }
-                }
-                if self.regroup.witness_lost() {
-                    ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
-                }
-            }
-            Verdict::Majority => {
-                // Frozen, but a majority answered: the partition healed.
-                // Ask the freshest unfrozen peer to take us back in; thaw
-                // happens only when the majority's broadcast names us.
-                // If *everyone* reachable is frozen (the whole cluster
-                // fragmented and re-healed), one partition re-seeds the
-                // group by thawing and announcing itself: the witness's
-                // partition when the vote table is on and the witness is
-                // reachable (it anchors the quorum, so the rebuilt group
-                // forms around it), else the lowest reachable.
-                match c.rejoin_target {
-                    Some((gsd, _)) => ctx.send(gsd, KernelMsg::MetaJoin { member: self.local }),
-                    None => {
-                        let reseed = self
-                            .regroup
-                            .witness()
-                            .filter(|w| c.reachable.contains(w))
-                            .or_else(|| c.reachable.first().copied());
-                        // A majority that leans on dead-partition
-                        // discounts is testimony, not reachability:
-                        // out-wait a full takeover-delay chain of such
-                        // verdicts before re-seeding, as hysteresis
-                        // against a transient or one-sided view.
-                        let licensed = c.dead.is_empty()
-                            || self.regroup.takeover_licensed(ctx.now());
-                        if reseed == Some(self.partition) && licensed {
-                            // Re-seed as a *singleton* group. Our
-                            // pre-fragmentation member list still names
-                            // frozen peers, so ring leadership would point
-                            // at one of them — a leader that drops every
-                            // MetaJoin while frozen, wedging the rebuild.
-                            // Shrinking to ourselves makes us the leader;
-                            // peers' retry rounds find us unfrozen, join,
-                            // and thaw when our broadcast names them.
-                            self.members.retain(|m| m.partition == self.partition);
-                            self.leave_frozen(ctx);
-                            self.refresh_roles(ctx);
-                            self.announce_membership_change(ctx);
-                        }
-                    }
-                }
-                ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
-            }
-            Verdict::Minority => {
-                self.enter_frozen(ctx);
-                ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
-            }
-        }
-    }
-
-    /// Lost quorum: freeze. The GSD stays alive and answers pings, but
-    /// every membership-changing action (diagnosis, takeover, rescue,
-    /// rejoin, directory writes) is suppressed until a majority-side
-    /// membership broadcast names us again.
-    fn enter_frozen(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if !self.regroup.freeze() {
-            return;
-        }
-        phoenix_telemetry::counter_add("gsd.regroup.freezes", 1);
-        phoenix_telemetry::gauge_set("gsd.regroup.frozen", 1.0);
-        self.frozen_span =
-            Some(phoenix_telemetry::span_start("gsd.regroup.frozen", "gsd", ctx.node().0));
-        ctx.trace(TraceEvent::Milestone {
-            label: "gsd-frozen",
-            value: self.partition.0 as f64,
-        });
-        ctx.trace(TraceEvent::RoleChange {
-            pid: ctx.pid(),
-            role: "frozen",
-        });
-        self.last_role = "frozen";
-        // Abort in-flight probe sessions: a pending diagnosis must not
-        // ripen into a takeover after we lost quorum. `abort_probe`
-        // retracts the suspicion marks so they cannot leak.
-        let mut active: Vec<(u64, ProbeKind)> = self
-            .probes
-            .iter()
-            .filter(|(_, s)| s.active)
-            .map(|(&id, s)| (id, s.kind))
-            .collect();
-        active.sort_unstable_by_key(|(id, _)| *id);
-        for (id, kind) in active {
-            if let Some(s) = self.probes.get_mut(&id) {
-                s.active = false;
-                phoenix_telemetry::span_end(s.span);
-            }
-            self.abort_probe(kind);
-        }
-        self.freeze_fanout(ctx, true);
-    }
-
-    /// Quorum regained and the majority named us: thaw.
-    fn leave_frozen(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
-        if !self.regroup.thaw() {
-            return;
-        }
-        phoenix_telemetry::gauge_set("gsd.regroup.frozen", 0.0);
-        if let Some(span) = self.frozen_span.take() {
-            phoenix_telemetry::span_end(span);
-        }
-        ctx.trace(TraceEvent::Milestone {
-            label: "gsd-thawed",
-            value: self.partition.0 as f64,
-        });
-        let role = self.role();
-        ctx.trace(TraceEvent::RoleChange {
-            pid: ctx.pid(),
-            role,
-        });
-        self.last_role = role;
-        self.freeze_fanout(ctx, false);
-    }
-
-    /// Tell the partition's services they are (no longer) on a minority
-    /// island: a frozen bulletin answers queries `complete = false`, a
-    /// frozen detector stops exporting.
-    fn freeze_fanout(&self, ctx: &mut Ctx<'_, KernelMsg>, frozen: bool) {
-        let msg = KernelMsg::RegroupFreeze { frozen };
-        for pid in [self.local.event, self.local.bulletin, self.local.checkpoint] {
-            if pid != Pid(0) {
-                ctx.send(pid, msg.clone());
-            }
-        }
-        if let Some(spec) = self.topology.partition(self.partition) {
-            for node in spec.all_nodes() {
-                if let Some(ns) = self.node_daemons.get(&node) {
-                    ctx.send(ns.detector, msg.clone());
-                }
-            }
-        }
-    }
-
-    /// Gate a ripened meta diagnosis on quorum. Returns true when the
-    /// takeover may proceed. On false the probe session is unwound
-    /// (suspicion mark retracted, probing flag cleared) so the next scan
-    /// re-suspects — by which time our own round has concluded and the
-    /// verdict is in.
-    fn regroup_licenses_takeover(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        partition: PartitionId,
-    ) -> bool {
-        if !self.regroup.enabled() {
-            return true;
-        }
-        if self.regroup.frozen() {
-            phoenix_telemetry::counter_add("gsd.regroup.suppressed", 1);
-            self.abort_probe(ProbeKind::Meta(partition));
-            return false;
-        }
-        // Reachability veto: if the suspected partition acked the last
-        // concluded regroup round it is alive and routable — the stale
-        // beats are a transient (e.g. just-healed links), not a failure.
-        if self.regroup.recently_reachable(partition, ctx.now()) {
-            phoenix_telemetry::counter_add("gsd.regroup.vetoed", 1);
-            self.abort_probe(ProbeKind::Meta(partition));
-            return false;
-        }
-        // MSCS-style regroup period: a takeover needs an unbroken chain
-        // of majority verdicts held for at least `takeover_delay`, long
-        // enough for any minority islet to have frozen itself.
-        if !self.regroup.takeover_licensed(ctx.now()) {
-            phoenix_telemetry::counter_add("gsd.regroup.deferred", 1);
-            self.abort_probe(ProbeKind::Meta(partition));
-            self.start_regroup_round(ctx);
-            return false;
-        }
-        true
-    }
-
-    /// Adopt a gossiped witness view (regroup ping/ack traffic) and keep
-    /// the telemetry gauges current when it changes.
-    fn observe_witness(&mut self, witness: PartitionId, witness_epoch: u64) {
-        if self.regroup.observe_witness(witness, witness_epoch) {
-            phoenix_telemetry::gauge_set("gsd.regroup.witness", witness.0 as f64);
-            phoenix_telemetry::gauge_set("gsd.regroup.witness_epoch", witness_epoch as f64);
-        }
-    }
-
-    // ---- heartbeat ingestion -----------------------------------------------
-
-    fn on_wd_heartbeat(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        from: Pid,
-        node: NodeId,
-        nic: NicId,
-        seq: u64,
-    ) {
-        // Duplicate suppression before any bookkeeping: a beat already seen
-        // on this NIC (network duplication, or an old reordered copy) must
-        // not refresh liveness or count in telemetry. A seq far below the
-        // window means the WD restarted and its counter reset — accept it.
-        let mut transitions: Vec<HealthTransition> = Vec::new();
-        if let Some(t) = self.wd_tracks.get_mut(&node) {
-            if let Some(last_seq) = t.last_seq.get_mut(nic.0 as usize) {
-                if is_dup_seq(*last_seq, seq) {
-                    phoenix_telemetry::counter_add("gsd.dedup.dropped", 1);
-                    return;
-                }
-                // The seq jump on this interface is per-NIC loss evidence;
-                // the arrival itself is delivery evidence.
-                let gap = seq_gap(*last_seq, seq);
-                if gap > 0 {
-                    transitions.extend(self.nic_health.observe_misses(nic, gap));
-                }
-                transitions.extend(self.nic_health.observe_delivery(nic));
-                *last_seq = seq;
-            }
-        }
-        if self.nic_health.enabled() {
-            // Echo the beat over the same interface — the WD's only window
-            // onto its per-NIC round trips (it sends, we receive).
-            ctx.send_via(from, nic, KernelMsg::WdHeartbeatAck { nic, seq });
-        }
-        self.apply_health_transitions(ctx, transitions);
-        phoenix_telemetry::counter_add("gsd.wd_heartbeats.received", 1);
-        phoenix_telemetry::measure(
-            "wd.heartbeat.flight",
-            "wd",
-            node.0,
-            phoenix_telemetry::key(&[node.0 as u64, nic.0 as u64, seq]),
-        );
-        let now = ctx.now();
-        let mut recovered_node = false;
-        let mut recovered_nic = false;
-        if let Some(t) = self.wd_tracks.get_mut(&node) {
-            if let Some(last) = t.last.get_mut(nic.0 as usize) {
-                *last = now;
-            }
-            if t.node_down {
-                t.node_down = false;
-                recovered_node = true;
-            }
-            if t.nic_down.get(nic.0 as usize).copied().unwrap_or(false) {
-                t.nic_down[nic.0 as usize] = false;
-                recovered_nic = true;
-            }
-        }
-        if recovered_node {
-            self.publish(ctx, EventType::NodeRecovery, node, EventPayload::Node(node));
-        }
-        if recovered_nic {
-            self.publish(
-                ctx,
-                EventType::NetworkRecovery,
-                node,
-                EventPayload::Nic(node, nic),
-            );
-        }
-    }
-
-    fn on_meta_heartbeat(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        from_partition: PartitionId,
-        nic: NicId,
-        seq: u64,
-    ) {
-        // Duplicate suppression, same contract as WD beats: a replayed seq
-        // must not refresh the predecessor's liveness window.
-        let mut transitions: Vec<HealthTransition> = Vec::new();
-        if let Some(t) = &mut self.pred {
-            if t.member.partition == from_partition {
-                if let Some(last_seq) = t.last_seq.get_mut(nic.0 as usize) {
-                    if is_dup_seq(*last_seq, seq) {
-                        phoenix_telemetry::counter_add("gsd.dedup.dropped", 1);
-                        return;
-                    }
-                    // Ring beats feed the same per-NIC evidence stream as
-                    // WD beats: network `i` is shared infrastructure.
-                    let gap = seq_gap(*last_seq, seq);
-                    if gap > 0 {
-                        transitions.extend(self.nic_health.observe_misses(nic, gap));
-                    }
-                    transitions.extend(self.nic_health.observe_delivery(nic));
-                    *last_seq = seq;
-                }
-            }
-        }
-        self.apply_health_transitions(ctx, transitions);
-        phoenix_telemetry::measure(
-            "meta.heartbeat.flight",
-            "gsd",
-            ctx.node().0,
-            phoenix_telemetry::key(&[from_partition.0 as u64, nic.0 as u64, seq]),
-        );
-        let now = ctx.now();
-        let mut recovered_nic = false;
-        let mut node = NodeId(0);
-        if let Some(t) = &mut self.pred {
-            if t.member.partition == from_partition {
-                node = t.member.node;
-                if let Some(last) = t.last.get_mut(nic.0 as usize) {
-                    *last = now;
-                }
-                if t.nic_down.get(nic.0 as usize).copied().unwrap_or(false) {
-                    t.nic_down[nic.0 as usize] = false;
-                    recovered_nic = true;
-                }
-            }
-        }
-        if recovered_nic {
-            self.publish(
-                ctx,
-                EventType::NetworkRecovery,
-                node,
-                EventPayload::Nic(node, nic),
-            );
-        }
-    }
-
-    /// Publish a demotion/promotion edge through the event service. A
-    /// demoted interface is *degraded* — lossy but not down: WD heartbeats
-    /// still fan out over it (paper semantics), but single-path traffic
-    /// avoids it until the hysteresis window of clean deliveries closes.
-    fn apply_health_transitions(
-        &mut self,
-        ctx: &mut Ctx<'_, KernelMsg>,
-        transitions: Vec<HealthTransition>,
-    ) {
-        let own = ctx.node();
-        for tr in transitions {
-            match tr {
-                HealthTransition::Demoted(nic) => {
-                    phoenix_telemetry::counter_add("gsd.nic.demotions", 1);
-                    ctx.trace(TraceEvent::Milestone {
-                        label: "nic-degraded",
-                        value: nic.0 as f64,
-                    });
-                    self.publish(
-                        ctx,
-                        EventType::NetworkDegraded,
-                        own,
-                        EventPayload::Nic(own, nic),
-                    );
-                }
-                HealthTransition::Promoted(nic) => {
-                    phoenix_telemetry::counter_add("gsd.nic.promotions", 1);
-                    ctx.trace(TraceEvent::Milestone {
-                        label: "nic-repromoted",
-                        value: nic.0 as f64,
-                    });
-                    self.publish(
-                        ctx,
-                        EventType::NetworkRecovery,
-                        own,
-                        EventPayload::Nic(own, nic),
-                    );
-                }
-            }
-        }
-    }
-
-    // ---- delayed-op dispatch -------------------------------------------------
-
-    fn run_op(&mut self, ctx: &mut Ctx<'_, KernelMsg>, op: DelayedOp) {
-        match op {
-            DelayedOp::ProbeRound(s) => self.probe_round(ctx, s),
-            DelayedOp::ProbeTimeout(s) => self.on_probe_timeout(ctx, s),
-            DelayedOp::NicDiag { node, nic } => {
-                ctx.trace(TraceEvent::FaultDiagnosed {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Nic(node, nic),
-                    diagnosis: Diagnosis::NetworkFailure,
-                });
-                // One of several redundant networks: no recovery needed.
-                ctx.trace(TraceEvent::Recovered {
-                    target: FaultTarget::Nic(node, nic),
-                    action: RecoveryAction::NoneNeeded,
-                });
-                self.publish(
-                    ctx,
-                    EventType::NetworkFault,
-                    node,
-                    EventPayload::Nic(node, nic),
-                );
-            }
-            DelayedOp::LocalDiagSvc { pid, kind, factory } => {
-                ctx.trace(TraceEvent::FaultDiagnosed {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Process(pid),
-                    diagnosis: Diagnosis::ProcessFailure,
-                });
-                self.publish(
-                    ctx,
-                    EventType::ServiceFault,
-                    ctx.node(),
-                    EventPayload::Service(kind, ctx.node()),
-                );
-                let cost = match kind {
-                    ServiceKind::Event => self.params.ft.es_restart_cost,
-                    ServiceKind::DataBulletin => self.params.ft.db_restart_cost,
-                    ServiceKind::Checkpoint => self.params.ft.ck_restart_cost,
-                    _ => self.params.ft.userenv_restart_cost,
-                };
-                self.schedule(ctx, cost, DelayedOp::Restart(RestartWhat::Svc { kind, factory }));
-            }
-            DelayedOp::LocalDiagNic { nic } => {
-                let own = ctx.node();
-                ctx.trace(TraceEvent::FaultDiagnosed {
-                    observer: ctx.pid(),
-                    target: FaultTarget::Nic(own, nic),
-                    diagnosis: Diagnosis::NetworkFailure,
-                });
-                ctx.trace(TraceEvent::Recovered {
-                    target: FaultTarget::Nic(own, nic),
-                    action: RecoveryAction::NoneNeeded,
-                });
-                self.publish(ctx, EventType::NetworkFault, own, EventPayload::Nic(own, nic));
-            }
-            DelayedOp::Restart(what) => self.execute_restart(ctx, what),
-        }
     }
 }
 
@@ -2967,14 +931,14 @@ impl Actor<KernelMsg> for Gsd {
                 }
             }
             KernelMsg::WdHeartbeat { node, nic, seq } => {
-                self.on_wd_heartbeat(ctx, from, node, nic, seq)
+                self.on_heartbeat(ctx, ProbeKind::Wd(node), from, nic, seq)
             }
             KernelMsg::MetaHeartbeat {
                 from_partition,
                 nic,
                 seq,
                 ..
-            } => self.on_meta_heartbeat(ctx, from_partition, nic, seq),
+            } => self.on_heartbeat(ctx, ProbeKind::Meta(from_partition), from, nic, seq),
             KernelMsg::MetaJoin { member } => {
                 if self.regroup.frozen() {
                     // A frozen GSD must not admit members or bump epochs.
@@ -2987,53 +951,30 @@ impl Actor<KernelMsg> for Gsd {
                         .iter()
                         .find(|m| m.partition == member.partition)
                         .copied();
-                    if old_entry == Some(member) {
-                        // Idempotent re-join: nothing changed, do not bump
-                        // the epoch or rebroadcast (damps membership wars).
-                        // Under regroup the joiner may be a frozen peer
-                        // asking back in after a heal that required no
-                        // takeover — answer it directly with the current
-                        // membership so it can thaw.
+                    // Idempotent re-join: nothing changed, do not bump the
+                    // epoch or rebroadcast (damps membership wars). Under
+                    // regroup the joiner may be a frozen peer asking back
+                    // in after a heal that required no takeover — answer it
+                    // directly with the current membership so it can thaw.
+                    // Likewise when the entry we hold is NEWER than the
+                    // joiner: a stale pre-partition instance is asking back
+                    // in after the majority already replaced it. Keep the
+                    // newer pid authoritative and show the joiner the
+                    // membership so it yields and dies.
+                    let stale =
+                        self.regroup.enabled() && old_entry.is_some_and(|old| old.gsd > member.gsd);
+                    if old_entry == Some(member) || stale {
                         if self.regroup.enabled() {
-                            ctx.send(
-                                member.gsd,
-                                KernelMsg::MetaMembership {
-                                    epoch: self.epoch,
-                                    members: self.members.clone().into(),
-                                },
-                            );
+                            ctx.send(member.gsd, self.membership_msg(self.epoch));
                         }
                         return;
-                    }
-                    if self.regroup.enabled() {
-                        if let Some(old) = old_entry {
-                            if old.gsd > member.gsd {
-                                // The entry we hold is NEWER than the
-                                // joiner: a stale pre-partition instance
-                                // is asking back in after the majority
-                                // already replaced it. Keep the newer
-                                // pid authoritative and show the joiner
-                                // the membership so it yields and dies.
-                                ctx.send(
-                                    member.gsd,
-                                    KernelMsg::MetaMembership {
-                                        epoch: self.epoch,
-                                        members: self.members.clone().into(),
-                                    },
-                                );
-                                return;
-                            }
-                        }
                     }
                     let old_gsd = old_entry.map(|m| m.gsd);
                     self.members.retain(|m| m.partition != member.partition);
                     self.members.push(member);
                     self.refresh_roles(ctx);
                     self.epoch += 1;
-                    let msg = KernelMsg::MetaMembership {
-                        epoch: self.epoch,
-                        members: self.members.clone().into(),
-                    };
+                    let msg = self.membership_msg(self.epoch);
                     self.broadcast_meta(ctx, msg.clone());
                     // If a still-running instance was replaced (e.g. a
                     // false takeover after a link partition), tell it
@@ -3105,15 +1046,9 @@ impl Actor<KernelMsg> for Gsd {
                         .any(|m| m.partition == self.partition && m.gsd == ctx.pid());
                     self.epoch = epoch;
                     self.members = members.unwrap_or_clone();
-                    // Keep our own entry authoritative.
-                    let local = self.local;
-                    for m in &mut self.members {
-                        if m.partition == local.partition {
-                            *m = local;
-                        }
-                    }
+                    self.patch_local_entry();
                     if self.my_index().is_none() {
-                        self.members.push(local);
+                        self.members.push(self.local);
                         // Re-join at the next tick, not instantly: a
                         // stale broadcast must not trigger a join →
                         // broadcast → join cycle at network latency.
@@ -3168,13 +1103,7 @@ impl Actor<KernelMsg> for Gsd {
                             self.svc_tracks.remove(&displaced);
                             ctx.kill(displaced);
                         }
-                        // Update membership copy of ourselves.
-                        let local = self.local;
-                        for m in &mut self.members {
-                            if m.partition == local.partition {
-                                *m = local;
-                            }
-                        }
+                        self.patch_local_entry();
                         self.announce_membership_change(ctx);
                         self.publish(
                             ctx,
@@ -3197,142 +1126,13 @@ impl Actor<KernelMsg> for Gsd {
             KernelMsg::ProbeReq { req } => {
                 ctx.send(from, KernelMsg::ProbeResp { req });
             }
-            KernelMsg::SlowPing { seq } => {
-                // Echo immediately — the pinger turns the round trip into
-                // an RTT sample; a slow node's stretched service time is
-                // exactly the signal being measured.
-                ctx.send(from, KernelMsg::SlowPong { seq });
-            }
-            KernelMsg::SlowPong { seq } => {
-                if let Some((node, at)) = self.slow_ping_sent.remove(&seq) {
-                    self.observe_peer_rtt(ctx, node, ctx.now().since(at).as_nanos());
-                }
-            }
-            KernelMsg::SlowLeaderYield { from_partition } => {
-                // Honoured only while actually leading, only from the
-                // current ring princess, at most once per degradation —
-                // and only when our own detector corroborates: a truly
-                // slow leader reads a majority of its peers as Slow (its
-                // own stretched latency reflected back, `gray_self`). A
-                // healthy leader does not, so a request from a princess
-                // that is itself the degraded one (it observes only us,
-                // so it cannot tell) is rejected instead of toppling a
-                // healthy leader.
-                if self.slow.enabled()
-                    && !self.regroup.frozen()
-                    && self.role() == "leader"
-                    && self.members.get(1).map(|m| m.partition) == Some(from_partition)
-                    && !self.quarantined.contains(&self.partition)
-                    && self.gray_self()
-                {
-                    phoenix_telemetry::counter_add("gsd.slow.leader_yields", 1);
-                    ctx.trace(TraceEvent::Milestone {
-                        label: "slow-leader-yield",
-                        value: self.partition.0 as f64,
-                    });
-                    // Self-quarantine: the same broadcast that demotes us
-                    // to the ring tail promotes the princess — a 0-leader
-                    // gap at worst, never two leaders.
-                    let mut next = self.quarantined.clone();
-                    next.insert(self.partition);
-                    self.set_quarantine(ctx, next);
-                }
-            }
-            KernelMsg::MetaQuarantine { epoch, quarantined } => {
-                if !self.slow.enabled() {
-                    return;
-                }
-                let set: BTreeSet<PartitionId> = quarantined.into_iter().collect();
-                if epoch < self.quarantine_epoch
-                    || (epoch == self.quarantine_epoch && set == self.quarantined)
-                {
-                    return;
-                }
-                self.quarantine_epoch = epoch;
-                self.quarantined = set;
-                if !self.quarantined.contains(&self.partition) {
-                    // Reinstated (or never in): a future quarantine may
-                    // legitimately drain again.
-                    self.draining = false;
-                    self.drained = false;
-                }
-                self.refresh_roles(ctx);
-                self.maybe_drain(ctx);
-            }
-            KernelMsg::RegroupPing {
-                round,
-                witness,
-                witness_epoch,
-                ..
-            } => {
-                // Always answer (even frozen — reachability is
-                // reachability; the `frozen` bit tells the pinger whether
-                // we can vouch for a membership).
-                if self.regroup.enabled() {
-                    self.observe_witness(witness, witness_epoch);
-                    ctx.send(
-                        from,
-                        KernelMsg::RegroupAck {
-                            from_partition: self.partition,
-                            epoch: self.epoch,
-                            round,
-                            frozen: self.regroup.frozen(),
-                            weight: self.regroup.configured_weight(self.partition),
-                            witness: self.regroup.witness().unwrap_or(PartitionId(0)),
-                            witness_epoch: self.regroup.witness_epoch(),
-                        },
-                    );
-                    // Verdict propagation: a peer opening a round suspects
-                    // the topology changed. On an even split the losing
-                    // side's leader can have its entire ring neighbourhood
-                    // on its own island (predecessor reachable, so no
-                    // suspicion ever fires) and would lead until heal —
-                    // echo a round of our own so every reachable GSD
-                    // concludes a verdict within one window of the first
-                    // detector. `start_regroup_round` dedups on an active
-                    // round, and echoes only chain while pings keep
-                    // arriving, so steady state stays quiet.
-                    if self.regroup.votes_enabled() {
-                        self.start_regroup_round(ctx);
-                    }
-                }
-            }
-            KernelMsg::RegroupAck {
-                from_partition,
-                epoch,
-                round,
-                frozen,
-                weight,
-                witness,
-                witness_epoch,
-            } => {
-                if self.regroup.enabled() {
-                    self.observe_witness(witness, witness_epoch);
-                    self.regroup.on_ack(
-                        round,
-                        from_partition,
-                        AckInfo {
-                            gsd: from,
-                            epoch,
-                            frozen,
-                            weight,
-                        },
-                        ctx.now(),
-                    );
-                }
-            }
-            KernelMsg::RegroupProbeAck {
-                round,
-                partition,
-                alive,
-                ..
-            } => {
-                // Home-node testimony about a peer partition's GSD. Our
-                // own partition never needs testifying about.
-                if self.regroup.enabled() && partition != self.partition {
-                    self.regroup.on_home_report(round, partition, alive);
-                }
-            }
+            KernelMsg::SlowPing { .. }
+            | KernelMsg::SlowPong { .. }
+            | KernelMsg::SlowLeaderYield { .. }
+            | KernelMsg::MetaQuarantine { .. } => self.on_slow_msg(ctx, from, msg),
+            KernelMsg::RegroupPing { .. }
+            | KernelMsg::RegroupAck { .. }
+            | KernelMsg::RegroupProbeAck { .. } => self.on_regroup_msg(ctx, from, msg),
             KernelMsg::CfgSetParam { key, value, .. } => {
                 if key == "hb_interval_ms" {
                     if let Ok(ms) = value.parse::<u64>() {
@@ -3342,15 +1142,9 @@ impl Actor<KernelMsg> for Gsd {
                         // does not trip deadlines computed from beats that
                         // were sent on the old cadence.
                         let now = ctx.now();
-                        for t in self.wd_tracks.values_mut() {
-                            for l in t.last.iter_mut() {
-                                *l = now;
-                            }
-                        }
-                        if let Some(p) = &mut self.pred {
-                            for l in p.last.iter_mut() {
-                                *l = now;
-                            }
+                        let wds = self.wd_tracks.values_mut().map(|(_, t)| t);
+                        for t in wds.chain(self.pred.as_mut().map(|(_, t)| t)) {
+                            t.last.fill(now);
                         }
                     }
                 }
@@ -3372,14 +1166,8 @@ impl Actor<KernelMsg> for Gsd {
                 // Config's push supersedes anything we were re-asserting.
                 self.dir_resend_nodes.remove(&node);
                 self.node_daemons.insert(node, services);
-                let was_down = self
-                    .wd_tracks
-                    .get(&node)
-                    .map(|t| t.node_down)
-                    .unwrap_or(false);
-                let nics = self.my_nic_known.len();
-                self.wd_tracks
-                    .insert(node, WdTrack::new(services.wd, nics, ctx.now()));
+                let was_down = self.wd_tracks.get(&node).is_some_and(|(_, t)| t.down);
+                self.track_wd(ctx, node, services.wd);
                 if was_down {
                     self.publish(ctx, EventType::NodeRecovery, node, EventPayload::Node(node));
                 }
@@ -3402,16 +1190,12 @@ impl Actor<KernelMsg> for Gsd {
                                 continue;
                             }
                         }
-                        let args = RespawnArgs {
-                            kind: ServiceKind::UserEnvironment,
-                            partition: self.partition,
-                            node: ctx.node(),
-                            gsd: ctx.pid(),
-                            checkpoint: self.local.checkpoint,
-                            members: self.members.clone(),
-                            action: RecoveryAction::Migrated(ctx.node()),
-                            params: self.params.clone(),
-                        };
+                        let args = self.respawn_args(
+                            ctx,
+                            ServiceKind::UserEnvironment,
+                            self.local.checkpoint,
+                            RecoveryAction::Migrated(ctx.node()),
+                        );
                         let built = self.registry.borrow_mut().build(&factory, &args);
                         if let Some(actor) = built {
                             ctx.spawn(ctx.node(), actor);
@@ -3469,23 +1253,7 @@ impl Actor<KernelMsg> for Gsd {
     }
 
     fn on_kill(&mut self, _now: phoenix_sim::SimTime) {
-        // Probe sessions die with this GSD: abandon their spans with an
-        // `aborted` disposition so `open_spans()` cannot climb across
-        // fault schedules. Deterministic order (BTreeMap-free probes map
-        // is a HashMap, so sort by session id first).
-        let mut active: Vec<u64> = self
-            .probes
-            .iter()
-            .filter(|(_, s)| s.active)
-            .map(|(&id, _)| id)
-            .collect();
-        active.sort_unstable();
-        for id in active {
-            if let Some(s) = self.probes.get_mut(&id) {
-                s.active = false;
-                phoenix_telemetry::span_abort(s.span);
-            }
-        }
+        self.abandon_probes();
         // A GSD that dies frozen (most often: yielding to the majority's
         // replacement after a heal) abandons its frozen-episode span, and
         // any round still collecting goes with it.

@@ -8,11 +8,14 @@ use phoenix_kernel::client::ClientHandle;
 use phoenix_kernel::KernelParams;
 use phoenix_proto::{
     BulletinQuery, ClusterTopology, ConsumerReg, EventFilter, EventType, KernelMsg, RequestId,
+    ServiceKind,
 };
 use phoenix_sim::{
-    Diagnosis, Fault, FaultTarget, NicId, NodeId, RecoveryAction, SimDuration, SimTime,
-    TraceEvent, World,
+    Actor, Ctx, Diagnosis, Fault, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimDuration,
+    SimTime, TraceEvent, World,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Two partitions of four nodes (server + backup + 2 compute) — the
 /// smallest cluster exercising every mechanism.
@@ -169,6 +172,99 @@ fn gsd_process_failure_restarts_in_place_and_rejoins() {
         .trace()
         .count(|e| matches!(e, TraceEvent::FaultDiagnosed { .. }));
     assert_eq!(refaults, 0, "ring stable after in-place GSD restart");
+}
+
+/// A supervised user-environment service: registers with its GSD under
+/// `factory` and heartbeats it; follows the GSD named by partition views.
+struct UserSvc {
+    gsd: Pid,
+    factory: String,
+    seq: u64,
+}
+
+impl Actor<KernelMsg> for UserSvc {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
+        ctx.send(
+            self.gsd,
+            KernelMsg::SvcRegister {
+                kind: ServiceKind::UserEnvironment,
+                pid: ctx.pid(),
+                factory: self.factory.clone(),
+            },
+        );
+        self.on_timer(ctx, 0);
+    }
+
+    fn on_message(&mut self, _: &mut Ctx<'_, KernelMsg>, _: Pid, msg: KernelMsg) {
+        if let KernelMsg::PartitionView { local, .. } = msg {
+            self.gsd = local.gsd;
+        }
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, KernelMsg>, _: u64) {
+        self.seq += 1;
+        ctx.send(
+            self.gsd,
+            KernelMsg::SvcHeartbeat {
+                kind: ServiceKind::UserEnvironment,
+                pid: ctx.pid(),
+                seq: self.seq,
+            },
+        );
+        ctx.set_timer(SimDuration::from_millis(500), 0);
+    }
+}
+
+#[test]
+fn respawned_gsd_restores_user_services_in_pid_order() {
+    // Several user-environment services share one partition (e.g. PWS
+    // pool schedulers next to a business runtime). After a GSD respawn the
+    // checkpointed roster is replayed, and the replay order decides the
+    // replacements' pids — it must be the original pid order, never the
+    // order of some hash map.
+    let (mut w, cluster) = small();
+    let built: Rc<RefCell<Vec<String>>> = Rc::default();
+    let names: Vec<String> = (0..6).map(|i| format!("ue-{i}")).collect();
+    for name in &names {
+        let log = built.clone();
+        let factory = name.clone();
+        cluster.registry.borrow_mut().register(
+            name.clone(),
+            Box::new(move |args| {
+                log.borrow_mut().push(factory.clone());
+                Box::new(UserSvc {
+                    gsd: args.gsd,
+                    factory: factory.clone(),
+                    seq: 0,
+                })
+            }),
+        );
+    }
+    let server = cluster.topology.partitions[0].server;
+    let gsd0 = cluster.gsd(0);
+    let svcs: Vec<Pid> = names
+        .iter()
+        .map(|name| {
+            w.spawn(
+                server,
+                Box::new(UserSvc {
+                    gsd: gsd0,
+                    factory: name.clone(),
+                    seq: 0,
+                }),
+            )
+        })
+        .collect();
+    assert!(svcs.windows(2).all(|p| p[0] < p[1]));
+    // Let a tick checkpoint the roster, then take the GSD and every
+    // supervised service down together so the respawn must rebuild them.
+    w.run_for(SimDuration::from_millis(2500));
+    w.kill_process(gsd0);
+    for &pid in &svcs {
+        w.kill_process(pid);
+    }
+    w.run_for(SimDuration::from_secs(6));
+    assert_eq!(*built.borrow(), names, "roster replayed out of pid order");
 }
 
 #[test]
