@@ -143,21 +143,14 @@ impl DataBulletin {
     }
 
     fn save_state(&self, ctx: &mut Ctx<'_, KernelMsg>) {
-        let entries: Vec<BulletinEntry> = self
-            .entries
-            .iter()
-            .map(|(&key, &(ref value, stamp_ns))| BulletinEntry {
-                key,
-                value: value.clone(),
-                stamp_ns,
-            })
-            .collect();
         ctx.send(
             self.checkpoint,
             KernelMsg::CkSave {
                 service: ServiceKind::DataBulletin,
                 partition: self.partition,
-                data: CheckpointData::Bulletin { entries },
+                data: CheckpointData::Bulletin {
+                    entries: self.snapshot().into(),
+                },
             },
         );
     }
@@ -373,7 +366,7 @@ impl Actor<KernelMsg> for DataBulletin {
                 if self.restoring {
                     self.restoring = false;
                     if let Some(CheckpointData::Bulletin { entries }) = data {
-                        for e in entries {
+                        for e in entries.unwrap_or_clone() {
                             self.entries.insert(e.key, (e.value, e.stamp_ns));
                         }
                     }
@@ -498,6 +491,84 @@ mod tests {
             }),
             stamp_ns: 0,
         }
+    }
+
+    /// A save travels to the checkpoint federation; an instance respawned
+    /// against the *peer* replica restores exactly the saved entries.
+    #[test]
+    fn save_restores_from_a_federation_replica() {
+        use crate::checkpoint::CheckpointService;
+        use phoenix_proto::{AppState, AppStatus, JobId};
+        use phoenix_sim::RecoveryAction;
+        let params = KernelParams::fast();
+        let mut w = ClusterBuilder::new()
+            .nodes(3, NodeSpec::default())
+            .build::<KernelMsg>();
+        let ck: Vec<Pid> = (0..2)
+            .map(|i| {
+                let svc = CheckpointService::new(PartitionId(i), params.clone());
+                w.spawn(NodeId(i), Box::new(svc))
+            })
+            .collect();
+        let db = w.spawn(
+            NodeId(0),
+            Box::new(DataBulletin::new(PartitionId(0), params.clone())),
+        );
+        let dir = ServiceDirectory {
+            partitions: (0..2)
+                .map(|i| MemberInfo {
+                    partition: PartitionId(i),
+                    node: NodeId(i),
+                    gsd: Pid(0),
+                    event: Pid(0),
+                    bulletin: if i == 0 { db } else { Pid(0) },
+                    checkpoint: ck[i as usize],
+                    host_ppm: Pid(0),
+                })
+                .collect(),
+            ..ServiceDirectory::default()
+        };
+        let boot = KernelMsg::Boot(dir.into());
+        for pid in [ck[0], ck[1], db] {
+            w.inject(pid, boot.clone());
+        }
+        let app = BulletinEntry {
+            key: BulletinKey::App(NodeId(1), JobId(4)),
+            value: BulletinValue::App(AppState {
+                job: JobId(4),
+                node: NodeId(1),
+                cpu: 0.5,
+                memory: 0.25,
+                status: AppStatus::Running,
+                sla_ok: true,
+            }),
+            stamp_ns: 77,
+        };
+        w.inject(
+            db,
+            KernelMsg::DbPut {
+                entries: vec![resource_entry(0, 0.25), resource_entry(1, 0.75), app],
+            },
+        );
+        // Past the first checkpoint round (every 2 detector samples).
+        w.run_for(params.detector_sample * 3);
+        let saved = w.actor_as::<DataBulletin>(db).expect("bulletin").snapshot();
+        assert_eq!(saved.len(), 3);
+
+        let restored = w.spawn(
+            NodeId(2),
+            Box::new(DataBulletin::respawn(
+                PartitionId(0),
+                params.clone(),
+                Pid(0),
+                ck[1],
+                vec![],
+                RecoveryAction::RestartedInPlace,
+            )),
+        );
+        w.run_for(SimDuration::from_millis(10));
+        let got = w.actor_as::<DataBulletin>(restored).expect("bulletin");
+        assert_eq!(got.snapshot(), saved);
     }
 
     #[test]

@@ -33,6 +33,7 @@ mod quorum;
 mod slow;
 mod verdict;
 
+use crate::directory::NodeDirectory;
 use crate::group::registry::{kernel_factory_key, SharedRegistry};
 use crate::nic_health::NicHealth;
 use crate::params::KernelParams;
@@ -42,7 +43,7 @@ use action::{DelayedOp, DIR_RESEND_TICKS};
 use evidence::{PeerTrack, ProbeKind, ProbeSession};
 use phoenix_proto::{
     CheckpointData, ClusterTopology, Event, EventPayload, EventType, KernelMsg, MemberInfo,
-    NodeServices, PartitionId, RequestId, ServiceKind,
+    NodeServices, PartitionId, RequestId, ServiceDirectory, ServiceKind, Shared,
 };
 use phoenix_sim::{
     Actor, Ctx, FaultTarget, NicId, NodeId, Pid, RecoveryAction, SimTime, TraceEvent,
@@ -101,9 +102,10 @@ pub struct Gsd {
     /// Watch-daemon pids for *every* cluster node (not just our own
     /// partition's): regroup rounds probe a silent partition's home-node
     /// WDs for dead-GSD testimony. Seeded from the boot/respawn
-    /// directory; foreign entries refreshed by config's
-    /// `DirectoryUpdateNode` fan-out (vote-table profiles only).
-    cluster_wds: HashMap<NodeId, Pid>,
+    /// directory (shared, not copied per GSD); foreign entries refreshed
+    /// by config's `DirectoryUpdateNode` fan-out (vote-table profiles
+    /// only).
+    cluster_nodes: NodeDirectory,
 
     /// Heartbeat evidence per partition node, with the node's WD pid.
     wd_tracks: BTreeMap<NodeId, (Pid, PeerTrack)>,
@@ -225,7 +227,7 @@ impl Gsd {
             members: Vec::new(),
             epoch: 0,
             node_daemons: BTreeMap::new(),
-            cluster_wds: HashMap::new(),
+            cluster_nodes: NodeDirectory::default(),
             wd_tracks: BTreeMap::new(),
             svc_tracks: BTreeMap::new(),
             pred: None,
@@ -644,7 +646,7 @@ impl Gsd {
         }
     }
 
-    fn wire_from_boot(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: &phoenix_proto::ServiceDirectory) {
+    fn wire_from_boot(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: Shared<ServiceDirectory>) {
         if let Some(me) = dir.partition(self.partition) {
             self.local = *me;
             self.local.gsd = ctx.pid();
@@ -652,21 +654,20 @@ impl Gsd {
         self.members = dir.partitions.clone();
         // Patch our own entry (directory was built before spawn order).
         self.patch_local_entry();
-        self.ingest_node_daemons(dir.nodes.iter());
+        self.ingest_node_daemons(dir);
         self.finish_wiring(ctx);
     }
 
-    fn ingest_node_daemons<'a, I: Iterator<Item = &'a NodeServices>>(&mut self, nodes: I) {
+    fn ingest_node_daemons(&mut self, dir: Shared<ServiceDirectory>) {
         let Some(spec) = self.topology.partition(self.partition) else {
             return;
         };
-        let mine = spec.all_nodes();
-        for ns in nodes {
-            self.cluster_wds.insert(ns.node, ns.wd);
-            if mine.contains(&ns.node) {
-                self.node_daemons.insert(ns.node, *ns);
+        for node in spec.all_nodes() {
+            if let Some(ns) = dir.node(node) {
+                self.node_daemons.insert(node, *ns);
             }
         }
+        self.cluster_nodes.boot(dir);
     }
 
     fn finish_wiring(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
@@ -726,7 +727,7 @@ impl Gsd {
         self.send_meta_heartbeats(ctx);
     }
 
-    fn wire_from_respawn(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: &phoenix_proto::ServiceDirectory) {
+    fn wire_from_respawn(&mut self, ctx: &mut Ctx<'_, KernelMsg>, dir: Shared<ServiceDirectory>) {
         let Some(GsdInit::Respawn {
             hint,
             members,
@@ -736,7 +737,7 @@ impl Gsd {
         else {
             return;
         };
-        self.ingest_node_daemons(dir.nodes.iter());
+        self.ingest_node_daemons(dir);
         self.members = members;
         self.local = hint;
         self.local.gsd = ctx.pid();
@@ -922,12 +923,12 @@ impl Actor<KernelMsg> for Gsd {
             KernelMsg::Boot(dir) => {
                 if matches!(self.init, Some(GsdInit::Boot)) {
                     self.init = None;
-                    self.wire_from_boot(ctx, &dir);
+                    self.wire_from_boot(ctx, dir);
                 }
             }
             KernelMsg::CfgDirectory { directory, .. } => {
                 if matches!(self.init, Some(GsdInit::Respawn { .. })) {
-                    self.wire_from_respawn(ctx, &directory);
+                    self.wire_from_respawn(ctx, (*directory).into());
                 }
             }
             KernelMsg::WdHeartbeat { node, nic, seq } => {
@@ -1152,7 +1153,7 @@ impl Actor<KernelMsg> for Gsd {
             KernelMsg::DirectoryUpdateNode { services } => {
                 // Config respawned a node's daemons (node brought back up).
                 let node = services.node;
-                self.cluster_wds.insert(node, services.wd);
+                self.cluster_nodes.update(services);
                 // Vote-table profiles fan this out to *every* GSD so
                 // regroup probes reach fresh WD pids; only the owning
                 // partition tracks the node for fault monitoring.

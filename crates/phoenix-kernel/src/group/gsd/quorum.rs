@@ -72,9 +72,9 @@ impl Gsd {
                 .iter()
                 .filter(|s| s.id != self.partition);
             for node in peers.flat_map(|spec| spec.all_nodes()) {
-                match self.cluster_wds.get(&node) {
-                    Some(&wd) if wd != Pid(0) => {
-                        self.send_routed(ctx, wd, node, KernelMsg::RegroupProbe { round })
+                match self.cluster_nodes.get(node) {
+                    Some(ns) if ns.wd != Pid(0) => {
+                        self.send_routed(ctx, ns.wd, node, KernelMsg::RegroupProbe { round })
                     }
                     _ => {}
                 }

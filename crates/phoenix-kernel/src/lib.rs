@@ -26,6 +26,7 @@ pub mod checkpoint;
 pub mod client;
 pub mod config;
 pub mod detect;
+pub(crate) mod directory;
 pub mod event;
 pub mod group;
 pub mod nic_health;

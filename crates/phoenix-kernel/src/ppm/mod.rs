@@ -14,8 +14,9 @@
 //! that register with the node's application-state detector, drive their
 //! configured resource load, and exit after their run time.
 
+use crate::directory::NodeDirectory;
 use crate::rpc::DedupWindow;
-use phoenix_proto::{JobId, KernelMsg, NodeServices, TaskSpec};
+use phoenix_proto::{JobId, KernelMsg, TaskSpec};
 use phoenix_sim::{Actor, Ctx, NodeId, Pid, SimDuration, TraceEvent};
 use std::collections::HashMap;
 
@@ -78,9 +79,10 @@ impl Actor<KernelMsg> for AppProc {
 /// The per-node PPM agent.
 pub struct PpmAgent {
     node: NodeId,
-    /// PPM agents of every node (for tree forwarding).
-    table: HashMap<NodeId, Pid>,
-    detector: Pid,
+    /// Daemons of every node: PPM agents for tree forwarding, and this
+    /// node's detector. The boot directory inside is the same `Shared`
+    /// payload in every agent, so the table costs one copy per cluster.
+    nodes: NodeDirectory,
     /// Local app processes by job.
     jobs: HashMap<JobId, Pid>,
     /// Requests already processed, with the ack sent for them (if this
@@ -93,19 +95,7 @@ impl PpmAgent {
     pub fn new(node: NodeId) -> Self {
         PpmAgent {
             node,
-            table: HashMap::new(),
-            detector: Pid(0),
-            jobs: HashMap::new(),
-            seen: DedupWindow::new(64),
-        }
-    }
-
-    /// Respawned agent with explicit wiring.
-    pub fn respawn(node: NodeId, detector: Pid, table: HashMap<NodeId, Pid>) -> Self {
-        PpmAgent {
-            node,
-            table,
-            detector,
+            nodes: NodeDirectory::default(),
             jobs: HashMap::new(),
             seen: DedupWindow::new(64),
         }
@@ -120,22 +110,18 @@ impl PpmAgent {
         while !targets.is_empty() {
             let take = targets.len().div_ceil(2);
             let sub: Vec<NodeId> = targets.split_off(targets.len() - take);
-            if let Some(&head_pid) = self.table.get(&sub[0]) {
+            if let Some(head) = self.nodes.get(sub[0]) {
                 phoenix_telemetry::counter_add("ppm.tree.forwards", 1);
-                ctx.send(head_pid, make(sub));
+                ctx.send(head.ppm, make(sub));
             }
             // An unknown head silently drops that subtree; the requester's
             // ack count exposes the loss.
         }
     }
 
-    fn ingest_table(&mut self, nodes: &[NodeServices]) {
-        for ns in nodes {
-            self.table.insert(ns.node, ns.ppm);
-            if ns.node == self.node {
-                self.detector = ns.detector;
-            }
-        }
+    /// This node's application-state detector, per the newest wiring.
+    fn detector(&self) -> Pid {
+        self.nodes.get(self.node).map_or(Pid(0), |ns| ns.detector)
     }
 }
 
@@ -150,8 +136,8 @@ impl Actor<KernelMsg> for PpmAgent {
 
     fn on_message(&mut self, ctx: &mut Ctx<'_, KernelMsg>, from: Pid, msg: KernelMsg) {
         match msg {
-            KernelMsg::Boot(dir) => self.ingest_table(&dir.nodes),
-            KernelMsg::DirectoryUpdateNode { services } => self.ingest_table(&[services]),
+            KernelMsg::Boot(dir) => self.nodes.boot(dir),
+            KernelMsg::DirectoryUpdateNode { services } => self.nodes.update(services),
             KernelMsg::ProbeReq { req } => {
                 ctx.send(from, KernelMsg::ProbeResp { req });
             }
@@ -191,7 +177,7 @@ impl Actor<KernelMsg> for PpmAgent {
                     );
                     let ok = !self.jobs.contains_key(&job);
                     if ok {
-                        let app = AppProc::new(job, task.clone(), self.detector, ctx.pid());
+                        let app = AppProc::new(job, task.clone(), self.detector(), ctx.pid());
                         let pid = ctx.spawn(self.node, Box::new(app));
                         self.jobs.insert(job, pid);
                     }
@@ -242,7 +228,7 @@ impl Actor<KernelMsg> for PpmAgent {
                     if let Some(pid) = self.jobs.remove(&job) {
                         ctx.kill(pid);
                         ctx.send(
-                            self.detector,
+                            self.detector(),
                             KernelMsg::AppExited {
                                 job,
                                 pid,
@@ -282,11 +268,38 @@ impl Actor<KernelMsg> for PpmAgent {
 mod tests {
     use super::*;
     use crate::client::ClientHandle;
-    use phoenix_proto::{RequestId, ServiceDirectory};
+    use phoenix_proto::{NodeServices, RequestId, ServiceDirectory};
     use phoenix_sim::{ClusterBuilder, NodeSpec, World};
+    use std::collections::BTreeMap;
 
-    /// Build n nodes each with a PPM agent and a stub detector (client).
+    /// Directory listing `agents[i]` as node i's PPM agent.
+    fn directory(agents: &[Pid], detector: Pid) -> ServiceDirectory {
+        ServiceDirectory {
+            config: Pid(0),
+            security: Pid(0),
+            partitions: vec![],
+            nodes: (0..agents.len() as u32)
+                .map(|i| NodeServices {
+                    node: NodeId(i),
+                    wd: Pid(0),
+                    detector,
+                    ppm: agents[i as usize],
+                })
+                .collect(),
+        }
+    }
+
+    /// Build n nodes each with a PPM agent and a stub detector (client),
+    /// all booted from one directory.
     fn setup(n: u32) -> (World<KernelMsg>, Vec<Pid>, ClientHandle) {
+        setup_with(n, |dir| dir)
+    }
+
+    /// `setup`, booting the agents from `shape(directory)`.
+    fn setup_with(
+        n: u32,
+        shape: impl FnOnce(ServiceDirectory) -> ServiceDirectory,
+    ) -> (World<KernelMsg>, Vec<Pid>, ClientHandle) {
         let mut w = ClusterBuilder::new()
             .nodes(n as usize, NodeSpec::default())
             .build::<KernelMsg>();
@@ -294,24 +307,126 @@ mod tests {
         let agents: Vec<Pid> = (0..n)
             .map(|i| w.spawn(NodeId(i), Box::new(PpmAgent::new(NodeId(i)))))
             .collect();
-        let dir = ServiceDirectory {
-            config: Pid(0),
-            security: Pid(0),
-            partitions: vec![],
-            nodes: (0..n)
-                .map(|i| NodeServices {
-                    node: NodeId(i),
-                    wd: Pid(0),
-                    detector: det.pid,
-                    ppm: agents[i as usize],
-                })
-                .collect(),
-        };
+        let boot = KernelMsg::Boot(shape(directory(&agents, det.pid)).into());
         for &a in &agents {
-            w.inject(a, KernelMsg::Boot((dir.clone()).into()));
+            w.inject(a, boot.clone());
         }
         w.run_for(SimDuration::from_millis(5));
         (w, agents, det)
+    }
+
+    /// Send one exec for `job` to every node via `agents[0]`; return the
+    /// pid each node's ack came from.
+    fn exec_everywhere(
+        w: &mut World<KernelMsg>,
+        agents: &[Pid],
+        job: u64,
+    ) -> BTreeMap<NodeId, Pid> {
+        let client = ClientHandle::spawn(w, NodeId(0));
+        client.send(
+            w,
+            agents[0],
+            KernelMsg::PpmExec {
+                req: RequestId(job),
+                job: JobId(job),
+                task: TaskSpec::default(),
+                targets: (0..agents.len() as u32).map(NodeId).collect(),
+                reply_to: client.pid,
+            },
+        );
+        w.run_for(SimDuration::from_millis(50));
+        client
+            .drain()
+            .into_iter()
+            .filter_map(|(from, m)| match m {
+                KernelMsg::PpmExecAck { node, ok: true, .. } => Some((node, from)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Replace node k's PPM agent with a fresh one (booted from `dir`)
+    /// and push the `DirectoryUpdateNode` to every agent.
+    fn move_agent(w: &mut World<KernelMsg>, agents: &[Pid], dir: &ServiceDirectory, k: u32) -> Pid {
+        let moved = w.spawn(NodeId(k), Box::new(PpmAgent::new(NodeId(k))));
+        w.inject(moved, KernelMsg::Boot(dir.clone().into()));
+        let mut services = *dir.node(NodeId(k)).expect("node k listed");
+        services.ppm = moved;
+        for &a in agents.iter().chain([&moved]) {
+            w.inject(a, KernelMsg::DirectoryUpdateNode { services });
+        }
+        w.run_for(SimDuration::from_millis(5));
+        moved
+    }
+
+    #[test]
+    fn directory_update_redirects_the_tree() {
+        let (mut w, agents, det) = setup(16);
+        let dir = directory(&agents, det.pid);
+        // Node 8 heads the first delegated half of a 16-node fan-out, so
+        // both its own ack and its subtree depend on the update.
+        let moved = move_agent(&mut w, &agents, &dir, 8);
+        let acks = exec_everywhere(&mut w, &agents, 1);
+        assert_eq!(acks.len(), 16, "every node acked");
+        assert_eq!(acks[&NodeId(8)], moved, "exec reached the updated agent");
+        for i in (0..16).filter(|&i| i != 8) {
+            assert_eq!(acks[&NodeId(i)], agents[i as usize]);
+        }
+    }
+
+    #[test]
+    fn later_boot_supersedes_an_update() {
+        let (mut w, agents, det) = setup(16);
+        let dir = directory(&agents, det.pid);
+        let moved = move_agent(&mut w, &agents, &dir, 8);
+        // A re-boot with the old wiring is newer than the update.
+        for &a in agents.iter().chain([&moved]) {
+            w.inject(a, KernelMsg::Boot(dir.clone().into()));
+        }
+        w.run_for(SimDuration::from_millis(5));
+        let acks = exec_everywhere(&mut w, &agents, 2);
+        assert_eq!(acks.len(), 16);
+        assert_eq!(acks[&NodeId(8)], agents[8], "the later boot won");
+        // ... and an update after that boot wins again.
+        let again = move_agent(&mut w, &agents, &dir, 8);
+        assert_eq!(exec_everywhere(&mut w, &agents, 3)[&NodeId(8)], again);
+    }
+
+    #[test]
+    fn boot_keeps_routes_it_does_not_cover() {
+        let (mut w, agents, det) = setup(8);
+        let dir = directory(&agents, det.pid);
+        let moved = move_agent(&mut w, &agents, &dir, 5);
+        // A partial re-boot that lists only nodes 0..4: node 5 keeps its
+        // update, nodes 6 and 7 their first-boot entries.
+        let partial = ServiceDirectory {
+            nodes: dir.nodes[..4].to_vec(),
+            ..dir.clone()
+        };
+        for &a in &agents {
+            w.inject(a, KernelMsg::Boot(partial.clone().into()));
+        }
+        w.run_for(SimDuration::from_millis(5));
+        let acks = exec_everywhere(&mut w, &agents, 4);
+        assert_eq!(acks.len(), 8, "no route forgotten");
+        assert_eq!(acks[&NodeId(5)], moved);
+    }
+
+    #[test]
+    fn reordered_directory_still_fans_out() {
+        // The config service's retain + push leaves a non-dense list:
+        // every lookup off its index takes the scan fallback.
+        let (mut w, agents, _det) = setup_with(16, |mut dir| {
+            dir.nodes.reverse();
+            let first = dir.nodes.remove(3);
+            dir.nodes.push(first);
+            dir
+        });
+        let acks = exec_everywhere(&mut w, &agents, 5);
+        assert_eq!(acks.len(), 16, "every target reached");
+        for (i, agent) in agents.iter().enumerate() {
+            assert_eq!(acks[&NodeId(i as u32)], *agent);
+        }
     }
 
     #[test]

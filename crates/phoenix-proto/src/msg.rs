@@ -58,9 +58,15 @@ impl ServiceDirectory {
         self.partitions.iter().find(|m| m.partition == id)
     }
 
-    /// Daemons of a node, if known.
+    /// Daemons of a node, if known. Each node appears at most once in
+    /// `nodes`. A boot directory lists node `i` at index `i`, so the
+    /// lookup is O(1); a list the config service has reordered (an update
+    /// moves the node to the end) falls back to a scan.
     pub fn node(&self, id: NodeId) -> Option<&NodeServices> {
-        self.nodes.iter().find(|n| n.node == id)
+        match self.nodes.get(id.0 as usize) {
+            Some(ns) if ns.node == id => Some(ns),
+            _ => self.nodes.iter().find(|n| n.node == id),
+        }
     }
 }
 
@@ -611,5 +617,38 @@ mod tests {
         assert_eq!(dir.partition(PartitionId(1)).unwrap().gsd, Pid(1));
         assert!(dir.partition(PartitionId(9)).is_none());
         assert_eq!(dir.node(NodeId(5)).unwrap().ppm, Pid(12));
+    }
+
+    #[test]
+    fn node_lookup_dense_and_reordered() {
+        let ppm = |i: u32| Pid(300 + u64::from(i));
+        let services = |i: u32| NodeServices {
+            node: NodeId(i),
+            wd: Pid(100),
+            detector: Pid(200),
+            ppm: ppm(i),
+        };
+        let mut dir = ServiceDirectory {
+            nodes: (0..6).map(services).collect(),
+            ..ServiceDirectory::default()
+        };
+        for i in 0..6 {
+            assert_eq!(dir.node(NodeId(i)).map(|n| n.ppm), Some(ppm(i)));
+        }
+        assert!(dir.node(NodeId(6)).is_none());
+        // The config service's update: drop node 2's entry, append the new
+        // one. Nodes 2..6 now sit off their index.
+        let moved = NodeServices {
+            ppm: Pid(999),
+            ..services(2)
+        };
+        dir.nodes.retain(|n| n.node != moved.node);
+        dir.nodes.push(moved);
+        assert_eq!(dir.nodes[2].node, NodeId(3), "reordered");
+        for i in [0, 1, 3, 4, 5] {
+            assert_eq!(dir.node(NodeId(i)).map(|n| n.ppm), Some(ppm(i)));
+        }
+        assert_eq!(dir.node(NodeId(2)).map(|n| n.ppm), Some(Pid(999)));
+        assert!(dir.node(NodeId(6)).is_none());
     }
 }

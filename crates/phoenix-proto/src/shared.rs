@@ -62,6 +62,15 @@ impl<T> From<T> for Shared<T> {
     }
 }
 
+/// Collect straight into a shared payload: `(0..n).map(f).collect()`
+/// builds the inner `T` and wraps it, so call sites that build a message
+/// field by collecting keep compiling when the field becomes `Shared`.
+impl<A, T: FromIterator<A>> FromIterator<A> for Shared<T> {
+    fn from_iter<I: IntoIterator<Item = A>>(iter: I) -> Self {
+        Shared::new(iter.into_iter().collect())
+    }
+}
+
 impl<T> Clone for Shared<T> {
     fn clone(&self) -> Self {
         // The whole point: a fan-out clone is a refcount bump.
@@ -141,6 +150,19 @@ mod tests {
         let clone = shared.clone();
         assert_eq!(clone.fixed_size(), Some(first));
         assert_eq!(first, encoded_size(&*shared));
+    }
+
+    #[test]
+    fn shared_collects_from_an_iterator() {
+        let shared: Shared<Vec<u32>> = (1..=4).map(|i| i * 10).collect();
+        assert_eq!(*shared, vec![10, 20, 30, 40]);
+        let clone = shared.clone();
+        assert!(
+            Arc::ptr_eq(&shared.inner, &clone.inner),
+            "clone shares the payload"
+        );
+        let empty: Shared<Vec<u32>> = std::iter::empty().collect();
+        assert!(empty.is_empty());
     }
 
     #[test]

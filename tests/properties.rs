@@ -384,7 +384,7 @@ fn kernel_msg_surface() -> Vec<phoenix::proto::KernelMsg> {
         },
         KernelMsg::CkLoadResp {
             req: RequestId(9),
-            data: Some(CheckpointData::Bulletin { entries: vec![entry] }),
+            data: Some(CheckpointData::Bulletin { entries: vec![entry].into() }),
         },
         KernelMsg::CkDelete { service: ServiceKind::Group, partition: PartitionId(2) },
         KernelMsg::CkReplicate {
