@@ -30,7 +30,7 @@
 //! loss_sweep [--small] [--serial]
 //! ```
 
-use phoenix_chaos::sweep::run_sweep;
+use phoenix_chaos::sweep::{mean, run_sweep};
 use phoenix_kernel::boot::boot_cluster_with_net;
 use phoenix_kernel::KernelParams;
 use phoenix_proto::{ClusterTopology, KernelMsg};
@@ -192,11 +192,7 @@ fn main() {
                 _ => {}
             }
         }
-        let detect_mean = if detect.is_empty() {
-            f64::NAN
-        } else {
-            detect.iter().sum::<f64>() / detect.len() as f64
-        };
+        let detect_mean = mean(&detect);
         total_spurious += spurious;
 
         println!(

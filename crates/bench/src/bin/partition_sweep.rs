@@ -29,7 +29,7 @@
 //! partition_sweep [--small] [--serial]
 //! ```
 
-use phoenix_chaos::sweep::run_sweep;
+use phoenix_chaos::sweep::{mean, run_sweep};
 use phoenix_chaos::{live_gsds, roles_converged};
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::config::ConfigService;
@@ -129,14 +129,6 @@ fn episode(seed: u64, minority: usize) -> Episode {
         double_leader_instants: double,
         converge_ms,
         dir_converge_ms,
-    }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        f64::NAN
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
     }
 }
 

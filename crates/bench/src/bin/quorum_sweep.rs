@@ -4,7 +4,7 @@
 //! majority to keep running — but a 2-vs-2 split of an even partition
 //! count has no count majority, and the pre-vote-table protocol froze
 //! both sides. This bench drives exactly those splits against the
-//! `KernelParams::fast_quorum()` profile (per-partition weights, witness
+//! `KernelParams::fast_quorum()` profile (one vote per partition, witness
 //! vote doubled, adaptive takeover delay) and gates the tentpole claim:
 //! **exactly one side stays alive through an even split**.
 //!
@@ -43,7 +43,7 @@
 //! quorum_sweep [--small] [--serial]
 //! ```
 
-use phoenix_chaos::sweep::run_sweep;
+use phoenix_chaos::sweep::{mean, run_sweep};
 use phoenix_chaos::{live_gsds, roles_converged};
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::{KernelParams, PhoenixCluster};
@@ -198,14 +198,6 @@ fn takeover_episode(seed: u64, adaptive: bool) -> TakeoverEpisode {
         }
     }
     TakeoverEpisode { takeover_ms }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        f64::NAN
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
-    }
 }
 
 fn main() {

@@ -46,7 +46,7 @@
 //! slow_sweep [--small] [--serial]
 //! ```
 
-use phoenix_chaos::sweep::run_sweep;
+use phoenix_chaos::sweep::{mean, run_sweep};
 use phoenix_chaos::{live_gsds, roles_converged};
 use phoenix_kernel::boot::boot_and_stabilize;
 use phoenix_kernel::group::Gsd;
@@ -181,14 +181,6 @@ fn episode(seed: u64, factor_permille: u16, shape: &Shape) -> Episode {
         reinstate_ms,
         false_dead: dead_diagnoses(&w, victim),
         relocated,
-    }
-}
-
-fn mean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        f64::NAN
-    } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
     }
 }
 

@@ -1036,16 +1036,10 @@ fn sampled_split_brain_check(
             .or(votes.witness)
             .unwrap_or(PartitionId(0));
         let weight_of = |p: PartitionId| -> u32 {
-            let w = votes
-                .weights
-                .iter()
-                .find(|(id, _)| *id == p)
-                .map(|&(_, w)| w)
-                .unwrap_or(1);
             if p == witness {
-                w * 2
+                2
             } else {
-                w
+                1
             }
         };
         // Per-side verdict, mirroring `Regroup::conclude` including the

@@ -111,6 +111,16 @@ where
     SweepOutcome { results, merged, threads, wall: start.elapsed() }
 }
 
+/// Arithmetic mean of a sweep bin's samples; NaN for an empty bin, so a
+/// bin that never observed its event reads as missing, not as zero.
+pub fn mean(xs: &[f64]) -> f64 {
+    if xs.is_empty() {
+        f64::NAN
+    } else {
+        xs.iter().sum::<f64>() / xs.len() as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

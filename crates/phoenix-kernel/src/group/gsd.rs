@@ -22,13 +22,15 @@
 //!
 //! The failure pipeline runs in three layers: `evidence` (heartbeat
 //! tracks, suspicion scans, probe sessions), `verdict` (pure decision
-//! rules: the probe `decide` chain, quarantine convergence, leader yield)
-//! and `action` (diagnosis, takeover and restart executors). The regroup
-//! quorum and fail-slow detectors that feed the verdicts live in `quorum`
-//! and `slow`.
+//! rules: the probe `decide` chain, the regroup, placement and join rules,
+//! quarantine convergence, leader yield) and `action` (diagnosis, takeover
+//! and restart executors). The regroup quorum and fail-slow detectors that
+//! feed the verdicts live in `quorum` and `slow`; joins, membership
+//! broadcasts and service registration live in `membership`.
 
 mod action;
 mod evidence;
+mod membership;
 mod quorum;
 mod slow;
 mod verdict;
@@ -363,31 +365,9 @@ impl Gsd {
         self.role()
     }
 
-    /// Whether this GSD froze itself after losing quorum.
-    pub fn quorum_frozen(&self) -> bool {
-        self.regroup.frozen()
-    }
-
-    /// Regroup epoch (number of concluded regroup rounds).
-    pub fn regroup_epoch(&self) -> u64 {
-        self.regroup.epoch()
-    }
-
-    /// Partitions in this GSD's current membership view, sorted.
-    pub fn meta_view(&self) -> Vec<PartitionId> {
-        let mut v: Vec<PartitionId> = self.members.iter().map(|m| m.partition).collect();
-        v.sort();
-        v
-    }
-
     /// The partition this GSD believes leads the meta-group.
     pub fn leader_view(&self) -> Option<PartitionId> {
         self.leader().map(|m| m.partition)
-    }
-
-    /// Current membership epoch.
-    pub fn meta_epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Current witness view when the vote table is active:
@@ -403,20 +383,6 @@ impl Gsd {
     /// Effective takeover delay currently enforced by the regroup layer.
     pub fn effective_takeover_delay(&self) -> phoenix_sim::SimDuration {
         self.regroup.effective_takeover_delay()
-    }
-
-    /// Per-NIC EWMA health scores (all 1.0 when the layer is disabled).
-    pub fn nic_health_scores(&self) -> Vec<f64> {
-        (0..self.nic_health.nic_count())
-            .map(|i| self.nic_health.score(NicId(i as u8)))
-            .collect()
-    }
-
-    /// Which NICs this GSD has demoted (degraded, not down).
-    pub fn nic_demoted(&self) -> Vec<bool> {
-        (0..self.nic_health.nic_count())
-            .map(|i| self.nic_health.is_demoted(NicId(i as u8)))
-            .collect()
     }
 
     fn refresh_roles(&mut self, ctx: &mut Ctx<'_, KernelMsg>) {
@@ -940,184 +906,10 @@ impl Actor<KernelMsg> for Gsd {
                 seq,
                 ..
             } => self.on_heartbeat(ctx, ProbeKind::Meta(from_partition), from, nic, seq),
-            KernelMsg::MetaJoin { member } => {
-                if self.regroup.frozen() {
-                    // A frozen GSD must not admit members or bump epochs.
-                    phoenix_telemetry::counter_add("gsd.regroup.suppressed", 1);
-                    return;
-                }
-                if self.role() == "leader" {
-                    let old_entry = self
-                        .members
-                        .iter()
-                        .find(|m| m.partition == member.partition)
-                        .copied();
-                    // Idempotent re-join: nothing changed, do not bump the
-                    // epoch or rebroadcast (damps membership wars). Under
-                    // regroup the joiner may be a frozen peer asking back
-                    // in after a heal that required no takeover — answer it
-                    // directly with the current membership so it can thaw.
-                    // Likewise when the entry we hold is NEWER than the
-                    // joiner: a stale pre-partition instance is asking back
-                    // in after the majority already replaced it. Keep the
-                    // newer pid authoritative and show the joiner the
-                    // membership so it yields and dies.
-                    let stale =
-                        self.regroup.enabled() && old_entry.is_some_and(|old| old.gsd > member.gsd);
-                    if old_entry == Some(member) || stale {
-                        if self.regroup.enabled() {
-                            ctx.send(member.gsd, self.membership_msg(self.epoch));
-                        }
-                        return;
-                    }
-                    let old_gsd = old_entry.map(|m| m.gsd);
-                    self.members.retain(|m| m.partition != member.partition);
-                    self.members.push(member);
-                    self.refresh_roles(ctx);
-                    self.epoch += 1;
-                    let msg = self.membership_msg(self.epoch);
-                    self.broadcast_meta(ctx, msg.clone());
-                    // If a still-running instance was replaced (e.g. a
-                    // false takeover after a link partition), tell it
-                    // directly so it can yield — it is no longer in the
-                    // member list and would miss the broadcast.
-                    if let Some(old) = old_gsd {
-                        if old != member.gsd {
-                            ctx.send(old, msg);
-                        }
-                    }
-                    if self.regroup.enabled() {
-                        // The partition is vouched-for again: clear any
-                        // stale flag a regroup round put on its entry.
-                        ctx.send(
-                            self.config,
-                            KernelMsg::DirectoryStale {
-                                partition: member.partition,
-                                stale: false,
-                            },
-                        );
-                    }
-                    self.push_partition_view(ctx);
-                } else if let Some(leader) = self.leader() {
-                    self.send_routed(ctx, leader.gsd, leader.node, KernelMsg::MetaJoin { member });
-                }
-            }
-            KernelMsg::MetaMembership { epoch, members } => {
-                // Duplicate resolution first, independent of epoch: if the
-                // group installed a NEWER GSD for our partition (a rescue
-                // or false takeover raced us), yield to it.
-                if let Some(other) = members
-                    .iter()
-                    .find(|m| m.partition == self.partition)
-                    .map(|m| m.gsd)
-                {
-                    if other != ctx.pid() && other > ctx.pid() {
-                        if self.draining {
-                            // Slow-drain handoff complete: the replacement
-                            // runs fresh kernel services on its new node,
-                            // and unlike a dead-node takeover this node is
-                            // still alive — ours would leak as orphans.
-                            let mut orphans: BTreeSet<Pid> = self.svc_tracks.keys().copied().collect();
-                            orphans.extend([
-                                self.local.event,
-                                self.local.bulletin,
-                                self.local.checkpoint,
-                            ]);
-                            for pid in orphans {
-                                if pid != Pid(0) && pid != ctx.pid() && ctx.process_is_alive(pid) {
-                                    ctx.kill(pid);
-                                }
-                            }
-                        }
-                        ctx.trace(TraceEvent::Milestone {
-                            label: "gsd-yielded",
-                            value: self.partition.0 as f64,
-                        });
-                        ctx.kill(ctx.pid());
-                        return;
-                    }
-                }
-                if epoch >= self.epoch {
-                    // A fresh broadcast naming *our* pid is the majority
-                    // vouching for us: the only thaw edge a frozen GSD
-                    // accepts (self-election on heal would re-split the
-                    // brain the moment views diverge).
-                    let named_me = members
-                        .iter()
-                        .any(|m| m.partition == self.partition && m.gsd == ctx.pid());
-                    self.epoch = epoch;
-                    self.members = members.unwrap_or_clone();
-                    self.patch_local_entry();
-                    if self.my_index().is_none() {
-                        self.members.push(self.local);
-                        // Re-join at the next tick, not instantly: a
-                        // stale broadcast must not trigger a join →
-                        // broadcast → join cycle at network latency.
-                        self.needs_rejoin = true;
-                    }
-                    if named_me && self.regroup.frozen() {
-                        self.leave_frozen(ctx);
-                    }
-                    self.refresh_roles(ctx);
-                    self.push_partition_view(ctx);
-                }
-            }
-            KernelMsg::MetaMemberDown { partition, .. } => {
-                if partition != self.partition {
-                    self.members.retain(|m| m.partition != partition);
-                    self.refresh_roles(ctx);
-                }
-            }
-            KernelMsg::SvcRegister { kind, pid, factory } => {
-                self.svc_tracks.insert(
-                    pid,
-                    SvcTrack {
-                        kind,
-                        factory,
-                        last: ctx.now(),
-                    },
-                );
-                // Adopt new kernel-service pids into our MemberInfo.
-                let slot = match kind {
-                    ServiceKind::Event => Some(&mut self.local.event),
-                    ServiceKind::DataBulletin => Some(&mut self.local.bulletin),
-                    ServiceKind::Checkpoint => Some(&mut self.local.checkpoint),
-                    _ => None,
-                };
-                if let Some(slot) = slot {
-                    if *slot != pid {
-                        // Canonical-instance resolution: the NEWER pid is
-                        // the legitimate instance; a register from an older
-                        // pid is a stale duplicate (e.g. left over from a
-                        // false takeover) and is terminated rather than
-                        // adopted — otherwise two instances flip-flop the
-                        // slot and every flip re-announces cluster-wide.
-                        if pid < *slot && ctx.process_is_alive(*slot) {
-                            self.svc_tracks.remove(&pid);
-                            ctx.kill(pid);
-                            return;
-                        }
-                        let displaced = *slot;
-                        *slot = pid;
-                        if displaced != Pid(0) && ctx.process_is_alive(displaced) {
-                            // Clean up the instance we are replacing.
-                            self.svc_tracks.remove(&displaced);
-                            ctx.kill(displaced);
-                        }
-                        self.patch_local_entry();
-                        self.announce_membership_change(ctx);
-                        self.publish(
-                            ctx,
-                            EventType::ServiceRecovery,
-                            ctx.node(),
-                            EventPayload::Service(kind, ctx.node()),
-                        );
-                    }
-                }
-                if kind == ServiceKind::UserEnvironment {
-                    self.supervision_dirty = true;
-                }
-            }
+            KernelMsg::MetaJoin { .. }
+            | KernelMsg::MetaMembership { .. }
+            | KernelMsg::MetaMemberDown { .. }
+            | KernelMsg::SvcRegister { .. } => self.on_membership_msg(ctx, msg),
             KernelMsg::SvcHeartbeat { pid, .. } => {
                 if let Some(t) = self.svc_tracks.get_mut(&pid) {
                     t.last = ctx.now();

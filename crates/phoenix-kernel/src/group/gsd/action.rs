@@ -6,7 +6,7 @@
 //! runs through [`Gsd::take_over`].
 
 use super::evidence::ProbeKind;
-use super::verdict::{decide, Action, Evidence, ProbeEnd, Quorum};
+use super::verdict::{decide, home_node, Action, Evidence, Placement, ProbeEnd, Quorum};
 use super::Gsd;
 use crate::group::registry::RespawnArgs;
 use crate::group::wd::Wd;
@@ -260,7 +260,7 @@ impl Gsd {
         self.publish(ctx, etype, failed.node, payload);
         self.remove_member(ctx, partition, diagnosis);
         let (to, cost) = if node_failure {
-            let Some(to) = self.backup_node(ctx, partition, failed.node) else {
+            let Some(to) = self.place(ctx, partition, failed.node, Placement::Takeover) else {
                 self.retract_takeover(ctx, partition, plan);
                 ctx.trace(TraceEvent::Milestone {
                     label: "no-backup-node",
@@ -299,27 +299,19 @@ impl Gsd {
         self.refresh_roles(ctx);
     }
 
-    /// A backup node of `partition` to migrate its GSD to: up, not the
-    /// failed node, preferring nodes the fail-slow detector considers
-    /// healthy (falling back to a degraded one over not migrating at all).
-    fn backup_node(
+    /// A home node for `partition`'s GSD away from `exclude`, chosen by
+    /// the verdict layer's [`home_node`] rule. A node is vetoed while the
+    /// fail-slow detector reads it Slow.
+    pub(super) fn place(
         &self,
         ctx: &Ctx<'_, KernelMsg>,
         partition: PartitionId,
-        failed: NodeId,
+        exclude: NodeId,
+        why: Placement,
     ) -> Option<NodeId> {
         let spec = self.topology.partition(partition)?;
-        let up: Vec<NodeId> = spec
-            .backups
-            .iter()
-            .chain(spec.compute.iter())
-            .copied()
-            .filter(|&n| n != failed && ctx.node_is_up(n))
-            .collect();
-        up.iter()
-            .copied()
-            .find(|&n| !self.placement_degraded(n))
-            .or_else(|| up.first().copied())
+        let vetoed = |n| self.slow.enabled() && self.slow.is_slow(n);
+        home_node(spec, exclude, |n| ctx.node_is_up(n), vetoed, why)
     }
 
     /// Retract an abandoned plan's takeover mark so it cannot linger as a
@@ -411,7 +403,7 @@ impl Gsd {
                 let to = if ctx.node_is_up(hint.node) {
                     None
                 } else {
-                    match self.backup_node(ctx, partition, hint.node) {
+                    match self.place(ctx, partition, hint.node, Placement::Takeover) {
                         Some(to) => Some(to),
                         None => {
                             self.retract_takeover(ctx, partition, plan);

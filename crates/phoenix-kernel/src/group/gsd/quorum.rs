@@ -1,11 +1,13 @@
 //! Quorum regroup (MSCS-style): rounds, verdicts, freeze and thaw.
 //!
-//! A silent ring predecessor opens a regroup round; the concluded verdict
-//! freezes a minority island, thaws a healed one, and is the licence the
-//! verdict layer checks before any ring takeover.
+//! A silent ring predecessor opens a regroup round. The concluded round
+//! goes to the verdict layer's `regroup_action` (hold, rejoin, re-seed,
+//! wait or freeze), which this module executes; the round is also the
+//! licence `decide` checks before any ring takeover.
 
+use super::verdict::{regroup_action, RegroupAction, Standing};
 use super::{Gsd, TOK_REGROUP, TOK_REGROUP_RETRY};
-use crate::regroup::{AckInfo, Verdict};
+use crate::regroup::AckInfo;
 use phoenix_proto::{KernelMsg, PartitionId, RequestId};
 use phoenix_sim::{Ctx, Pid, TraceEvent};
 
@@ -137,77 +139,49 @@ impl Gsd {
                 );
             }
         }
-        match c.verdict {
-            Verdict::Majority if !self.regroup.frozen() => {
-                // We hold quorum: normal operation (the concluded round
-                // is the takeover licence `majority_confirmed` checks).
-                // The lowest reachable partition flags the unreachable
-                // side's directory entries stale so clients stop routing
-                // to daemons nobody can vouch for.
-                if c.reachable.first() == Some(&self.partition) {
+        let standing = Standing {
+            me: self.partition,
+            frozen: self.regroup.frozen(),
+            witness: self.regroup.witness(),
+            witness_lost: self.regroup.witness_lost(),
+            licensed: self.regroup.takeover_licensed(ctx.now()),
+        };
+        let action = regroup_action(&c, standing);
+        match action {
+            RegroupAction::Hold { mark_stale, .. } => {
+                // Quorum held (the concluded round is the takeover licence
+                // `decide` checks). Stale entries stop clients routing to
+                // daemons nobody can vouch for.
+                if mark_stale {
                     for p in self.topology.partitions.iter().map(|p| p.id) {
                         if !c.reachable.contains(&p) {
-                            ctx.send(
-                                self.config,
-                                KernelMsg::DirectoryStale {
-                                    partition: p,
-                                    stale: true,
-                                },
-                            );
+                            let stale = KernelMsg::DirectoryStale {
+                                partition: p,
+                                stale: true,
+                            };
+                            ctx.send(self.config, stale);
                         }
                     }
                 }
-                if self.regroup.witness_lost() {
-                    ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
-                }
             }
-            Verdict::Majority => {
-                // Frozen, but a majority answered: the partition healed.
-                // Ask the freshest unfrozen peer to take us back in; thaw
-                // happens only when the majority's broadcast names us.
-                // If *everyone* reachable is frozen (the whole cluster
-                // fragmented and re-healed), one partition re-seeds the
-                // group by thawing and announcing itself: the witness's
-                // partition when the vote table is on and the witness is
-                // reachable (it anchors the quorum, so the rebuilt group
-                // forms around it), else the lowest reachable.
-                match c.rejoin_target {
-                    Some((gsd, _)) => ctx.send(gsd, KernelMsg::MetaJoin { member: self.local }),
-                    None => {
-                        let reseed = self
-                            .regroup
-                            .witness()
-                            .filter(|w| c.reachable.contains(w))
-                            .or_else(|| c.reachable.first().copied());
-                        // A majority that leans on dead-partition
-                        // discounts is testimony, not reachability:
-                        // out-wait a full takeover-delay chain of such
-                        // verdicts before re-seeding, as hysteresis
-                        // against a transient or one-sided view.
-                        let licensed = c.dead.is_empty()
-                            || self.regroup.takeover_licensed(ctx.now());
-                        if reseed == Some(self.partition) && licensed {
-                            // Re-seed as a *singleton* group. Our
-                            // pre-fragmentation member list still names
-                            // frozen peers, so ring leadership would point
-                            // at one of them — a leader that drops every
-                            // MetaJoin while frozen, wedging the rebuild.
-                            // Shrinking to ourselves makes us the leader;
-                            // peers' retry rounds find us unfrozen, join,
-                            // and thaw when our broadcast names them.
-                            self.members.retain(|m| m.partition == self.partition);
-                            self.leave_frozen(ctx);
-                            self.refresh_roles(ctx);
-                            self.announce_membership_change(ctx);
-                        }
-                    }
-                }
-                ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
+            RegroupAction::Rejoin(gsd) => ctx.send(gsd, KernelMsg::MetaJoin { member: self.local }),
+            RegroupAction::Reseed => {
+                // Re-seed as a *singleton* group. Our pre-fragmentation
+                // member list still names frozen peers, so ring leadership
+                // would point at one of them — a leader that drops every
+                // MetaJoin while frozen, wedging the rebuild. Shrinking to
+                // ourselves makes us the leader; peers' retry rounds find
+                // us unfrozen, join, and thaw when our broadcast names them.
+                self.members.retain(|m| m.partition == self.partition);
+                self.leave_frozen(ctx);
+                self.refresh_roles(ctx);
+                self.announce_membership_change(ctx);
             }
-            Verdict::Minority => {
-                self.enter_frozen(ctx);
-                ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
-            }
+            RegroupAction::Wait => {}
+            RegroupAction::Freeze => self.enter_frozen(ctx),
+        }
+        if !matches!(action, RegroupAction::Hold { poll: false, .. }) {
+            ctx.set_timer(self.params.ft.regroup.frozen_retry, TOK_REGROUP_RETRY);
         }
     }
 
@@ -314,7 +288,7 @@ impl Gsd {
                         epoch: self.epoch,
                         round,
                         frozen: self.regroup.frozen(),
-                        weight: self.regroup.configured_weight(self.partition),
+                        weight: 1,
                         witness: self.regroup.witness().unwrap_or(PartitionId(0)),
                         witness_epoch: self.regroup.witness_epoch(),
                     },
@@ -338,16 +312,15 @@ impl Gsd {
                 epoch,
                 round,
                 frozen,
-                weight,
                 witness,
                 witness_epoch,
+                ..
             } => {
                 self.observe_witness(witness, witness_epoch);
                 let info = AckInfo {
                     gsd: from,
                     epoch,
                     frozen,
-                    weight,
                 };
                 self.regroup.on_ack(round, from_partition, info, ctx.now());
             }

@@ -4,7 +4,7 @@
 //! rounds; the quarantine-convergence and yield rules it feeds are pure
 //! functions in the verdict layer.
 
-use super::verdict::{self, Health};
+use super::verdict::{self, Health, Placement};
 use super::Gsd;
 use crate::slow_detect::{SlowTransition, Verdict as SlowVerdict};
 use phoenix_proto::{KernelMsg, MemberInfo, PartitionId};
@@ -33,13 +33,6 @@ macro_rules! node_gauge {
 }
 
 impl Gsd {
-    /// A node is a poor placement target while the detector reads it Slow.
-    /// Callers always keep a degraded fallback: quarantine must never turn
-    /// "migrate somewhere imperfect" into "migrate nowhere".
-    pub(super) fn placement_degraded(&self, node: NodeId) -> bool {
-        self.slow.enabled() && self.slow.is_slow(node)
-    }
-
     /// Gray-self inversion over this observer's detector (see
     /// [`verdict::gray_self`]): while it holds, verdicts must not be used
     /// *against* peers (no quarantine additions, no yield requests, no
@@ -281,17 +274,10 @@ impl Gsd {
         if self.draining || self.drained || !self.quarantined.contains(&self.partition) {
             return;
         }
-        let own = ctx.node();
-        // A gray-self observer's placement vetoes are its own slowness
-        // reflected back — ignore them, or the drain could never fire.
-        let gray = self.gray_self();
-        let Some(to) = self.topology.partition(self.partition).and_then(|spec| {
-            spec.backups
-                .iter()
-                .chain(spec.compute.iter())
-                .copied()
-                .find(|&n| n != own && ctx.node_is_up(n) && (gray || !self.placement_degraded(n)))
-        }) else {
+        let why = Placement::Drain {
+            gray_self: self.gray_self(),
+        };
+        let Some(to) = self.place(ctx, self.partition, ctx.node(), why) else {
             return; // no healthy home node: stay put, keep serving
         };
         self.draining = true;
@@ -316,12 +302,6 @@ impl Gsd {
         ctx.spawn(to, Box::new(gsd));
     }
 
-    /// Test/introspection: per-peer fail-slow verdicts as this GSD sees
-    /// them.
-    pub fn slow_verdicts(&self) -> Vec<(NodeId, SlowVerdict)> {
-        self.slow.verdicts()
-    }
-
     /// Test/introspection: the adopted quarantine view.
     pub fn quarantine_view(&self) -> (u64, Vec<PartitionId>) {
         (
@@ -333,11 +313,6 @@ impl Gsd {
     /// Test/introspection: ring membership order as currently sorted.
     pub fn ring_order(&self) -> Vec<PartitionId> {
         self.members.iter().map(|m| m.partition).collect()
-    }
-
-    /// Test/introspection: whether a slow-drain handoff is in flight.
-    pub fn is_draining(&self) -> bool {
-        self.draining
     }
 
     /// Fail-slow traffic: pings and pongs, yield requests and quarantine

@@ -1,13 +1,15 @@
 //! Verdict layer: the GSD's safety rules as pure functions.
 //!
 //! Evidence (heartbeat tracks, probe outcomes, the regroup and fail-slow
-//! detectors) is gathered by the actor; every rule that turns it into a
-//! takeover, a veto, a quarantine or a yield lives here, with no `Ctx` and
-//! no telemetry, so each can be checked as a table.
+//! detectors, membership messages) is gathered by the actor; every rule
+//! that turns it into a takeover, a veto, a freeze or reseed, a placement,
+//! an admission, a quarantine or a yield lives here, with no `Ctx` and no
+//! telemetry, so each can be checked as a table.
 
+use crate::regroup::{Conclusion, Verdict as QuorumVerdict};
 use crate::slow_detect::Verdict as SlowVerdict;
-use phoenix_proto::PartitionId;
-use phoenix_sim::Diagnosis;
+use phoenix_proto::{MemberInfo, PartitionId, PartitionSpec};
+use phoenix_sim::{Diagnosis, NodeId, Pid};
 use std::collections::BTreeSet;
 
 /// How a probe session of a silent peer ended.
@@ -94,6 +96,161 @@ pub(crate) fn decide(e: &Evidence) -> Action {
         return Action::SlowVeto;
     }
     Action::Diagnose(diagnosis)
+}
+
+/// This GSD's standing when a regroup round concludes, read after the
+/// conclusion was folded into the regroup state.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Standing {
+    pub me: PartitionId,
+    pub frozen: bool,
+    /// Current witness; `None` while the vote table is off.
+    pub witness: Option<PartitionId>,
+    /// The witness is missing from the round's reachable set.
+    pub witness_lost: bool,
+    /// An unbroken chain of majority verdicts has been held long enough.
+    pub licensed: bool,
+}
+
+/// What the GSD does with a concluded regroup round.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum RegroupAction {
+    /// Quorum held: carry on. `mark_stale`: this is the lowest reachable
+    /// partition, so it flags the unreachable ones stale in the
+    /// directory. `poll`: the witness is lost, so keep rounds going until
+    /// the failover licence ripens.
+    Hold { mark_stale: bool, poll: bool },
+    /// Frozen, and a majority answered: ask this unfrozen acker to take
+    /// us back in (the thaw waits for its broadcast naming us).
+    Rejoin(Pid),
+    /// Frozen, every reachable peer frozen too, and this partition
+    /// re-seeds the group as a singleton.
+    Reseed,
+    /// Frozen with a majority in sight, but another partition re-seeds
+    /// (or the licence has not ripened): keep polling.
+    Wait,
+    /// Minority: freeze.
+    Freeze,
+}
+
+/// The regroup rule. A minority freezes. An unfrozen majority holds, the
+/// lowest reachable partition marking the unreachable ones stale, and
+/// polls while the witness is lost. A frozen GSD that sees a majority
+/// rejoins via the freshest unfrozen acker; when every reachable peer is
+/// frozen one partition re-seeds: the witness if reachable, else the
+/// lowest reachable. A majority that leans on dead discounts is
+/// testimony, not reachability, so that re-seed also needs the takeover
+/// licence.
+pub(crate) fn regroup_action(c: &Conclusion, s: Standing) -> RegroupAction {
+    let lowest = c.reachable.first().copied();
+    match c.verdict {
+        QuorumVerdict::Minority => RegroupAction::Freeze,
+        QuorumVerdict::Majority if !s.frozen => RegroupAction::Hold {
+            mark_stale: lowest == Some(s.me),
+            poll: s.witness_lost,
+        },
+        QuorumVerdict::Majority => match c.rejoin_target {
+            Some((gsd, _)) => RegroupAction::Rejoin(gsd),
+            None => {
+                let seed = s.witness.filter(|w| c.reachable.contains(w)).or(lowest);
+                if seed == Some(s.me) && (c.dead.is_empty() || s.licensed) {
+                    RegroupAction::Reseed
+                } else {
+                    RegroupAction::Wait
+                }
+            }
+        },
+    }
+}
+
+/// Why a partition's GSD needs a new home node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Placement {
+    /// A takeover after a node failure: any up node beats no node.
+    Takeover,
+    /// A slow-drain off a degraded node: only a node without a placement
+    /// veto is worth moving to. A gray-self drainer's vetoes are its own
+    /// slowness reflected back, so it passes none.
+    Drain { gray_self: bool },
+}
+
+/// The home-node chooser for takeovers and drains. Walks the partition's
+/// backups before its compute nodes, keeps nodes that are up and not
+/// `exclude` (the failed or draining node), and takes the first without a
+/// placement veto. Only a takeover falls back to the first up node.
+pub(crate) fn home_node(
+    spec: &PartitionSpec,
+    exclude: NodeId,
+    up: impl Fn(NodeId) -> bool,
+    vetoed: impl Fn(NodeId) -> bool,
+    why: Placement,
+) -> Option<NodeId> {
+    let mut usable = spec
+        .backups
+        .iter()
+        .chain(&spec.compute)
+        .copied()
+        .filter(|&n| n != exclude && up(n))
+        .peekable();
+    let first = usable.peek().copied();
+    let vetoes = !matches!(why, Placement::Drain { gray_self: true });
+    let chosen = usable.find(|&n| !(vetoes && vetoed(n)));
+    match why {
+        Placement::Takeover => chosen.or(first),
+        Placement::Drain { .. } => chosen,
+    }
+}
+
+/// The canonical-instance rule for two live instances of one role (a
+/// partition's GSD, a kernel service): the newer, higher pid is the
+/// legitimate one, so `mine` is outranked by a higher `other`.
+pub(crate) fn outranked(mine: Pid, other: Pid) -> bool {
+    other > mine
+}
+
+/// What the GSD does with a `MetaJoin`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum JoinAction {
+    /// Frozen: admit nobody, bump no epoch.
+    Suppress,
+    /// Not the leader: pass the join on to it.
+    Forward,
+    /// Nothing to change, but under regroup the joiner may be a healed
+    /// frozen peer waiting to thaw, or a stale instance the majority
+    /// already replaced: answer with the current membership.
+    Answer,
+    /// Nothing to change and nobody to answer.
+    Ignore,
+    /// Install the joiner, replacing the entry held for its partition.
+    Admit,
+}
+
+/// The join rule: suppress while frozen, forward unless leading, and
+/// answer (under regroup) an idempotent joiner or one outranked by the
+/// instance already held for its partition; otherwise admit. `held` is
+/// the membership entry for the joiner's partition.
+pub(crate) fn join_action(
+    frozen: bool,
+    leading: bool,
+    regroup: bool,
+    held: Option<MemberInfo>,
+    joiner: MemberInfo,
+) -> JoinAction {
+    if frozen {
+        return JoinAction::Suppress;
+    }
+    if !leading {
+        return JoinAction::Forward;
+    }
+    let stale = regroup && held.is_some_and(|h| outranked(joiner.gsd, h.gsd));
+    if held == Some(joiner) || stale {
+        return if regroup {
+            JoinAction::Answer
+        } else {
+            JoinAction::Ignore
+        };
+    }
+    JoinAction::Admit
 }
 
 /// "It's not everyone else — it's me": when a strict majority of the
@@ -384,6 +541,167 @@ mod tests {
         assert!(
             !leader_honours_yield(true, false, true, false, false),
             "no corroboration"
+        );
+    }
+
+    fn parts(ps: &[u32]) -> Vec<PartitionId> {
+        ps.iter().map(|&p| PartitionId(p)).collect()
+    }
+
+    /// (verdict, reachable, rejoin target, dead, me, frozen, witness,
+    /// licensed) -> action; the witness is lost when it is not reachable
+    type RegroupRow = (
+        QuorumVerdict,
+        &'static [u32],
+        Option<u64>,
+        &'static [u32],
+        u32,
+        bool,
+        Option<u32>,
+        bool,
+        RegroupAction,
+    );
+
+    #[test]
+    fn regroup_action_table() {
+        use QuorumVerdict::{Majority as Maj, Minority as Min};
+        use RegroupAction::*;
+        let hold = |mark_stale, poll| Hold { mark_stale, poll };
+        const T: bool = true;
+        const F: bool = false;
+        let rows: &[RegroupRow] = &[
+            // 1. a minority freezes, frozen or not
+            (Min, &[2], None, &[], 2, F, None, F, Freeze),
+            (Min, &[2], Some(9), &[], 2, T, Some(0), T, Freeze),
+            // 2. an unfrozen majority holds; the lowest reachable marks
+            // the unreachable stale...
+            (Maj, &[0, 1], None, &[], 0, F, None, F, hold(T, F)),
+            (Maj, &[0, 1], None, &[], 1, F, Some(0), F, hold(F, F)),
+            // ...and polls while the witness is lost
+            (Maj, &[1, 2], Some(9), &[], 1, F, Some(0), F, hold(T, T)),
+            (Maj, &[1, 2], None, &[0], 2, F, Some(0), T, hold(F, T)),
+            // 3. frozen with a majority in sight: rejoin via the acker,
+            // even where this partition would otherwise re-seed
+            (Maj, &[0, 1], Some(9), &[], 0, T, Some(0), F, Rejoin(Pid(9))),
+            // 4. all frozen: the witness re-seeds when reachable...
+            (Maj, &[0, 1, 2], None, &[], 1, T, Some(1), F, Reseed),
+            (Maj, &[0, 1, 2], None, &[], 0, T, Some(1), F, Wait),
+            // ...else the lowest reachable partition does
+            (Maj, &[1, 2], None, &[], 1, T, Some(0), F, Reseed),
+            (Maj, &[1, 2], None, &[], 2, T, Some(0), F, Wait),
+            (Maj, &[0, 1], None, &[], 0, T, None, F, Reseed),
+            // ...and leaning on dead discounts needs the licence
+            (Maj, &[1, 2], None, &[0], 1, T, Some(0), F, Wait),
+            (Maj, &[1, 2], None, &[0], 1, T, Some(0), T, Reseed),
+        ];
+        for (i, row) in rows.iter().enumerate() {
+            let &(verdict, reachable, rejoin, dead, me, frozen, witness, licensed, want) = row;
+            let c = Conclusion {
+                verdict,
+                reachable: parts(reachable),
+                rejoin_target: rejoin.map(|g| (Pid(g), 1)),
+                witness_failover: None,
+                dead: parts(dead),
+            };
+            let standing = Standing {
+                me: PartitionId(me),
+                frozen,
+                witness: witness.map(PartitionId),
+                witness_lost: witness.is_some_and(|w| !reachable.contains(&w)),
+                licensed,
+            };
+            assert_eq!(regroup_action(&c, standing), want, "row {i}");
+        }
+    }
+
+    /// (up, vetoed, why) -> chosen node, over backups [4, 2] and compute
+    /// [3, 1] with node 4 excluded
+    type PlacementRow = (&'static [u32], &'static [u32], Placement, Option<u32>);
+
+    #[test]
+    fn home_node_table() {
+        use Placement::*;
+        const DRAIN: Placement = Drain { gray_self: false };
+        const GRAY: Placement = Drain { gray_self: true };
+        let spec = PartitionSpec {
+            id: PartitionId(0),
+            server: NodeId(0),
+            backups: vec![NodeId(4), NodeId(2)],
+            compute: vec![NodeId(3), NodeId(1)],
+        };
+        let rows: &[PlacementRow] = &[
+            // backups before compute, in spec order, the excluded skipped
+            (&[1, 2, 3, 4], &[], Takeover, Some(2)),
+            (&[1, 2, 3, 4], &[], DRAIN, Some(2)),
+            // down nodes skipped
+            (&[1, 3, 4], &[], Takeover, Some(3)),
+            // the first node without a veto wins
+            (&[1, 2, 3, 4], &[2], Takeover, Some(3)),
+            (&[1, 2, 3, 4], &[2, 3], DRAIN, Some(1)),
+            // all vetoed: a takeover falls back to the first up node...
+            (&[2, 3], &[2, 3], Takeover, Some(2)),
+            // ...a drain stays put...
+            (&[2, 3], &[2, 3], DRAIN, None),
+            // ...unless the drainer is gray itself and passes no vetoes
+            (&[2, 3], &[2, 3], GRAY, Some(2)),
+            // nothing but the excluded node up: nowhere to go
+            (&[4], &[], Takeover, None),
+            (&[4], &[], GRAY, None),
+        ];
+        for (i, &(up, vetoed, why, want)) in rows.iter().enumerate() {
+            let up = |n: NodeId| up.contains(&n.0);
+            let vetoed = |n: NodeId| vetoed.contains(&n.0);
+            let got = home_node(&spec, NodeId(4), up, vetoed, why);
+            assert_eq!(got, want.map(NodeId), "row {i}");
+        }
+    }
+
+    fn member(gsd: u64) -> MemberInfo {
+        MemberInfo {
+            partition: PartitionId(1),
+            node: NodeId(1),
+            gsd: Pid(gsd),
+            event: Pid(0),
+            bulletin: Pid(0),
+            checkpoint: Pid(0),
+            host_ppm: Pid(0),
+        }
+    }
+
+    /// (frozen, leading, regroup, held gsd, joiner gsd) -> action
+    type JoinRow = (bool, bool, bool, Option<u64>, u64, JoinAction);
+
+    #[test]
+    fn join_action_table() {
+        use JoinAction::*;
+        let rows: &[JoinRow] = &[
+            // 1. frozen: nothing, not even a forward
+            (true, true, true, None, 5, Suppress),
+            (true, false, true, Some(5), 5, Suppress),
+            // 2. not leading: forward
+            (false, false, true, Some(5), 5, Forward),
+            (false, false, false, None, 5, Forward),
+            // 3. idempotent: answer under regroup, else ignore
+            (false, true, true, Some(5), 5, Answer),
+            (false, true, false, Some(5), 5, Ignore),
+            // 4. outranked by the held instance: answer under regroup...
+            (false, true, true, Some(7), 5, Answer),
+            // ...without regroup the joiner is admitted regardless
+            (false, true, false, Some(7), 5, Admit),
+            // 5. a new partition or a newer instance: admit
+            (false, true, true, None, 5, Admit),
+            (false, true, true, Some(3), 5, Admit),
+            (false, true, false, Some(3), 5, Admit),
+        ];
+        for (i, &(frozen, leading, regroup, held, joiner, want)) in rows.iter().enumerate() {
+            let got = join_action(frozen, leading, regroup, held.map(member), member(joiner));
+            assert_eq!(got, want, "row {i}");
+        }
+        assert!(outranked(Pid(3), Pid(5)), "a newer pid outranks");
+        assert!(!outranked(Pid(5), Pid(3)));
+        assert!(
+            !outranked(Pid(5), Pid(5)),
+            "an instance never outranks itself"
         );
     }
 }

@@ -31,17 +31,17 @@
 //!
 //! Strict node-count majority freezes *both* sides of an exact 50/50
 //! split — correct but a total outage. MSCS answers this with a quorum
-//! resource; the equivalent here is a [`VoteTable`]: per-partition
-//! weights (default 1) plus a designated **witness** partition whose
-//! vote counts double. An even split then has a strict weighted winner
-//! (the witness's side), and on a weight tie the side holding the
-//! lowest configured partition wins — deterministic because exactly one
-//! side can hold it. If the majority observes the witness unreachable
-//! for a full held-majority period it *fails the witness over* to the
-//! lowest reachable partition under a bumped witness epoch, gossiped in
-//! regroup traffic so a healed minority adopts the new identity. The
-//! vote table has its own switch ([`VoteTable::enabled`]) so every
-//! pre-existing regroup profile stays byte-identical.
+//! resource; the equivalent here is a [`VoteTable`]: one vote per
+//! partition plus a designated **witness** partition whose vote counts
+//! double. An even split then has a strict weighted winner (the
+//! witness's side), and on a tie the side holding the lowest live
+//! configured partition wins — deterministic because exactly one side
+//! can hold it. If the majority observes the witness unreachable for a
+//! full held-majority period it *fails the witness over* to the lowest
+//! reachable partition under a bumped witness epoch, gossiped in regroup
+//! traffic so a healed minority adopts the new identity. One majority
+//! rule serves both profiles: with the vote table off there is no
+//! witness and every vote weighs 1, so it is plain count majority.
 //!
 //! The **adaptive takeover delay** replaces the fixed 1.5 s/31 s
 //! profile constants with a clamp-bounded function of observed regroup
@@ -97,23 +97,16 @@ pub struct RegroupParams {
     pub delay_ceil: SimDuration,
 }
 
-/// Per-partition vote weights plus the witness designation.
-///
-/// Weights default to 1 per configured partition; `weights` only lists
-/// overrides. The witness's vote counts double; `None` designates the
-/// lowest configured partition (the config-service host). With weights
-/// left uniform a weight tie implies the witness is unreachable from
-/// *both* sides, which is what makes the lowest-partition tie-breaker
-/// safe; custom tables should preserve that property (a tie while the
-/// witness is alive on one side would otherwise let the lowest-partition
-/// rule fire on the witness-less side too).
+/// The witness designation: every partition casts one vote, the
+/// witness's counts double. `None` designates the lowest configured
+/// partition (the config-service host). With uniform votes a tie implies
+/// the witness is unreachable from *both* sides, which is what makes the
+/// lowest-partition tie-breaker safe.
 #[derive(Clone, Debug, Default)]
 pub struct VoteTable {
     /// Vote-table switch, independent of `RegroupParams::enabled` so
     /// pinned count-majority scenarios stay byte-identical.
     pub enabled: bool,
-    /// Weight overrides; partitions not listed weigh 1.
-    pub weights: Vec<(PartitionId, u32)>,
     /// Initial witness partition; `None` ⇒ lowest configured partition.
     pub witness: Option<PartitionId>,
 }
@@ -166,7 +159,7 @@ impl RegroupParams {
 }
 
 /// What a concluded round decided.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// This side holds a strict majority of configured partitions.
     Majority,
@@ -183,10 +176,6 @@ pub struct AckInfo {
     pub epoch: u64,
     /// Whether the acker itself is frozen.
     pub frozen: bool,
-    /// The acker's configured vote weight (witness doubling is applied
-    /// by the *receiver* against its own witness view). 1 when the
-    /// sender runs without a vote table.
-    pub weight: u32,
 }
 
 /// The outcome handed back to the GSD when a round concludes.
@@ -218,10 +207,6 @@ pub struct Conclusion {
 /// message/timer handlers.
 pub struct Regroup {
     params: RegroupParams,
-    /// Quorum denominator: number of partitions in the configured
-    /// topology (not the live membership — a shrunken membership must
-    /// not shrink the bar for "majority").
-    total: u32,
     /// Regroup epoch: bumps on every concluded round. Telemetry-visible.
     epoch: u64,
     /// Current round id; `None` when idle.
@@ -246,11 +231,9 @@ pub struct Regroup {
     /// — the reachability veto consults these.
     last_concluded_at: Option<SimTime>,
     last_reachable: Vec<PartitionId>,
-    rounds_concluded: u64,
-    freezes: u64,
-    /// Configured partitions, sorted. Empty until `set_partitions` (the
-    /// legacy `set_total` path leaves it empty and keeps count-majority
-    /// semantics even if the vote table is switched on).
+    /// Configured partitions, sorted: the quorum denominator (not the
+    /// live membership — a shrunken membership must not shrink the bar
+    /// for "majority"). Empty until `set_partitions`.
     parts: Vec<PartitionId>,
     /// Current witness; `Some` only while the vote table is active.
     witness: Option<PartitionId>,
@@ -274,7 +257,6 @@ impl Regroup {
     pub fn new(params: RegroupParams) -> Regroup {
         Regroup {
             params,
-            total: 0,
             epoch: 0,
             round: None,
             next_round: 0,
@@ -285,8 +267,6 @@ impl Regroup {
             majority_since: None,
             last_concluded_at: None,
             last_reachable: Vec::new(),
-            rounds_concluded: 0,
-            freezes: 0,
             parts: Vec::new(),
             witness: None,
             witness_epoch: 0,
@@ -305,11 +285,6 @@ impl Regroup {
         &self.params
     }
 
-    /// Fix the quorum denominator (configured partition count).
-    pub fn set_total(&mut self, total: u32) {
-        self.total = total;
-    }
-
     /// Fix the configured partition set (and the quorum denominator).
     /// Activates the vote table when enabled: resolves the initial
     /// witness (explicit designation, else the lowest configured
@@ -318,7 +293,6 @@ impl Regroup {
         self.parts = parts.to_vec();
         self.parts.sort();
         self.parts.dedup();
-        self.total = self.parts.len() as u32;
         if self.votes_enabled() {
             self.witness = self
                 .params
@@ -333,18 +307,6 @@ impl Regroup {
     /// a configured partition set was installed).
     pub fn votes_enabled(&self) -> bool {
         self.params.votes.enabled && !self.parts.is_empty()
-    }
-
-    /// This partition's configured weight (no witness doubling — that is
-    /// applied by whoever tallies, against their own witness view).
-    pub fn configured_weight(&self, p: PartitionId) -> u32 {
-        self.params
-            .votes
-            .weights
-            .iter()
-            .find(|(id, _)| *id == p)
-            .map(|&(_, w)| w)
-            .unwrap_or(1)
     }
 
     /// Current witness partition; `None` while the vote table is off.
@@ -380,13 +342,13 @@ impl Regroup {
         false
     }
 
-    /// A partition's vote as tallied by this side: configured weight,
-    /// doubled for the current witness.
-    fn vote_of(&self, p: PartitionId, carried: u32) -> u32 {
+    /// A partition's vote as tallied by this side: 2 for the current
+    /// witness, else 1.
+    fn vote_of(&self, p: PartitionId) -> u32 {
         if self.witness == Some(p) {
-            carried * 2
+            2
         } else {
-            carried
+            1
         }
     }
 
@@ -400,28 +362,18 @@ impl Regroup {
         self.parts
             .iter()
             .filter(|p| !dead.contains(p))
-            .map(|&p| self.vote_of(p, self.configured_weight(p)))
+            .map(|&p| self.vote_of(p))
             .sum()
     }
 
-    /// Weighted-majority verdict for this side. `reachable_votes` sums
-    /// the carried ack weights (plus our own configured weight), each
-    /// doubled for the witness. Strict majority wins; on an exact tie
-    /// the witness's side wins, else the side holding the lowest
-    /// *live* configured partition (exactly one side can hold it; if it
-    /// is dead both sides freeze, conservatively).
-    fn weighted_majority(
-        &self,
-        me: PartitionId,
-        reachable: &[PartitionId],
-        dead: &[PartitionId],
-    ) -> bool {
-        let mut rv = self.vote_of(me, self.configured_weight(me));
-        for (&p, a) in &self.acks {
-            if p != me {
-                rv += self.vote_of(p, a.weight);
-            }
-        }
+    /// Weighted-majority verdict for this side: the votes of the
+    /// reachable partitions (self included) against the denominator.
+    /// Strict majority wins; on an exact tie the witness's side wins,
+    /// else the side holding the lowest *live* configured partition
+    /// (exactly one side can hold it; if it is dead both sides freeze,
+    /// conservatively). Without a witness a tie loses on both sides.
+    fn weighted_majority(&self, reachable: &[PartitionId], dead: &[PartitionId]) -> bool {
+        let rv: u32 = reachable.iter().map(|&p| self.vote_of(p)).sum();
         let tv = self.total_votes(dead);
         if 2 * rv > tv {
             return true;
@@ -440,10 +392,6 @@ impl Regroup {
         }
     }
 
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
     pub fn frozen(&self) -> bool {
         self.frozen
     }
@@ -452,21 +400,8 @@ impl Regroup {
         self.epoch
     }
 
-    pub fn rounds_concluded(&self) -> u64 {
-        self.rounds_concluded
-    }
-
-    pub fn freezes(&self) -> u64 {
-        self.freezes
-    }
-
     pub fn round_active(&self) -> bool {
         self.round.is_some()
-    }
-
-    /// Strict-majority test over the configured partition count.
-    pub fn is_majority(&self, reachable: u32) -> bool {
-        2 * reachable > self.total
     }
 
     /// Open a new round; returns its id. No-op (returns the live round's
@@ -529,7 +464,6 @@ impl Regroup {
     /// Returns `None` if no round was active (stale timer).
     pub fn conclude(&mut self, me: PartitionId, now: SimTime) -> Option<Conclusion> {
         self.round.take()?;
-        self.rounds_concluded += 1;
         self.epoch += 1;
         let mut reachable: Vec<PartitionId> = self.acks.keys().copied().collect();
         if !reachable.contains(&me) {
@@ -552,12 +486,7 @@ impl Regroup {
         } else {
             Vec::new()
         };
-        let won = if self.votes_enabled() {
-            self.weighted_majority(me, &reachable, &dead)
-        } else {
-            self.is_majority(reachable.len() as u32)
-        };
-        let verdict = if won {
+        let verdict = if self.weighted_majority(&reachable, &dead) {
             // A lapsed chain (no majority within the validity window)
             // restarts the takeover-delay clock.
             if self.majority_since.is_none() || !self.majority_confirmed(now) {
@@ -626,7 +555,6 @@ impl Regroup {
             return false;
         }
         self.frozen = true;
-        self.freezes += 1;
         true
     }
 
@@ -724,7 +652,6 @@ mod tests {
             gsd: Pid(pid),
             epoch,
             frozen,
-            weight: 1,
         }
     }
 
@@ -734,22 +661,27 @@ mod tests {
 
     #[test]
     fn quorum_is_strict_majority() {
-        let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
-        assert!(!rg.is_majority(1));
-        assert!(rg.is_majority(2));
-        rg.set_total(4);
-        assert!(!rg.is_majority(2), "even split: neither side wins");
-        assert!(rg.is_majority(3));
-        rg.set_total(8);
-        assert!(!rg.is_majority(4));
-        assert!(rg.is_majority(5));
+        // Vote table off: no witness, one vote each, count majority.
+        for (total, reachable, want) in [
+            (3, 1, Verdict::Minority),
+            (3, 2, Verdict::Majority),
+            (4, 2, Verdict::Minority), // even split: neither side wins
+            (4, 3, Verdict::Majority),
+            (8, 4, Verdict::Minority),
+            (8, 5, Verdict::Majority),
+        ] {
+            let mut rg = Regroup::new(RegroupParams::fast());
+            rg.set_partitions(&parts(total));
+            let others: Vec<u64> = (1..reachable as u64).collect();
+            let c = conclude_side(&mut rg, PartitionId(0), &others, t(0));
+            assert_eq!(c.verdict, want, "{reachable} of {total}");
+        }
     }
 
     #[test]
     fn round_collects_acks_and_concludes() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let r = rg.begin_round(t(0));
         assert!(rg.round_active());
         assert_eq!(rg.begin_round(t(0)), r, "re-entrant begin keeps the round");
@@ -766,14 +698,13 @@ mod tests {
     #[test]
     fn minority_concludes_and_freezes_once() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let _ = rg.begin_round(t(0));
         let c = rg.conclude(PartitionId(2), t(0)).unwrap();
         assert_eq!(c.verdict, Verdict::Minority);
         assert_eq!(c.reachable, vec![PartitionId(2)]);
         assert!(rg.freeze(), "freeze edge fires once");
         assert!(!rg.freeze(), "already frozen");
-        assert_eq!(rg.freezes(), 1);
         assert!(rg.thaw());
         assert!(!rg.thaw());
     }
@@ -781,7 +712,7 @@ mod tests {
     #[test]
     fn rejoin_target_prefers_fresh_unfrozen_acker() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(0), ack(20, 9, false), t(0));
         rg.on_ack(r, PartitionId(1), ack(21, 12, true), t(0)); // frozen: not a target
@@ -802,7 +733,7 @@ mod tests {
     #[test]
     fn majority_verdict_expires() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         assert!(!rg.majority_confirmed(t(0)), "no round yet");
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(1), ack(10, 0, false), t(0));
@@ -839,7 +770,7 @@ mod tests {
     #[test]
     fn takeover_needs_majority_held_for_delay() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let delay = RegroupParams::fast().takeover_delay;
         let t0 = t(0);
         let r = rg.begin_round(t(0));
@@ -869,7 +800,7 @@ mod tests {
     #[test]
     fn lapsed_majority_chain_restarts_delay_clock() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         let p = RegroupParams::fast();
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(1), ack(10, 0, false), t(0));
@@ -886,7 +817,7 @@ mod tests {
     #[test]
     fn acked_partition_is_recently_reachable() {
         let mut rg = Regroup::new(RegroupParams::fast());
-        rg.set_total(3);
+        rg.set_partitions(&parts(3));
         assert!(!rg.recently_reachable(PartitionId(1), t(0)), "no round yet");
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(1), ack(10, 0, false), t(0));
@@ -982,9 +913,7 @@ mod tests {
         rg.set_partitions(&parts(4));
         let r = rg.begin_round(t(0));
         rg.on_ack(r, PartitionId(3), ack(103, 0, false), t(0));
-        let mut witness_ack = ack(101, 0, false);
-        witness_ack.weight = 1;
-        rg.on_ack(r, PartitionId(1), witness_ack, t(0));
+        rg.on_ack(r, PartitionId(1), ack(101, 0, false), t(0));
         rg.on_home_report(r, PartitionId(1), false);
         let c = rg.conclude(PartitionId(0), t(0)).unwrap();
         assert!(c.dead.is_empty(), "an acker is alive by definition");
@@ -1018,40 +947,33 @@ mod tests {
 
     #[test]
     fn tie_breaks_to_witness_side_then_lowest_partition() {
-        // Weight override p3=2, witness p0: total votes 6, and a
-        // {p0,p1} / {p2,p3} split ties at 3 votes each. The witness's
-        // side wins; the other loses both tie-break clauses.
-        let mut p = RegroupParams::quorum();
-        p.votes.weights = vec![(PartitionId(3), 2)];
-        let mut a = Regroup::new(p.clone());
-        a.set_partitions(&parts(4));
-        let r = a.begin_round(t(0));
-        a.on_ack(r, PartitionId(1), ack(101, 0, false), t(0));
-        let c = a.conclude(PartitionId(0), t(0)).unwrap();
+        // Three partitions, witness p0: 4 votes, so {p0} and {p1,p2} tie
+        // at 2. The witness's side wins; the other loses both clauses.
+        let mut a = Regroup::new(RegroupParams::quorum());
+        a.set_partitions(&parts(3));
+        let c = conclude_side(&mut a, PartitionId(0), &[], t(0));
         assert_eq!(c.verdict, Verdict::Majority, "tie + witness reachable");
-
-        let mut b = Regroup::new(p.clone());
-        b.set_partitions(&parts(4));
-        let r = b.begin_round(t(0));
-        let mut heavy = ack(103, 0, false);
-        heavy.weight = 2;
-        b.on_ack(r, PartitionId(3), heavy, t(0));
-        let c = b.conclude(PartitionId(2), t(0)).unwrap();
+        let mut b = Regroup::new(RegroupParams::quorum());
+        b.set_partitions(&parts(3));
+        let c = conclude_side(&mut b, PartitionId(1), &[2], t(0));
         assert_eq!(c.verdict, Verdict::Minority, "tie, no witness, no p0");
 
-        // Witness dead entirely: p0 weight 2, witness p3. {p0,p1} ties
-        // at 3 of 6 and wins via the lowest-configured-partition clause.
+        // Five partitions, witness p4 testified dead: the denominator
+        // drops to 4 and {p0,p1} / {p2,p3} tie at 2 with the witness on
+        // neither side; the lowest live partition breaks the tie.
         let mut q = RegroupParams::quorum();
-        q.votes.weights = vec![(PartitionId(0), 2)];
-        q.votes.witness = Some(PartitionId(3));
-        let mut d = Regroup::new(q);
-        d.set_partitions(&parts(4));
-        let r = d.begin_round(t(0));
-        let mut heavy = ack(100, 0, false);
-        heavy.weight = 2;
-        d.on_ack(r, PartitionId(0), heavy, t(0));
-        let c = d.conclude(PartitionId(1), t(0)).unwrap();
-        assert_eq!(c.verdict, Verdict::Majority, "tie broken by lowest pid");
+        q.votes.witness = Some(PartitionId(4));
+        for (me, other, want) in [(0, 1, Verdict::Majority), (2, 3, Verdict::Minority)] {
+            let mut rg = Regroup::new(q.clone());
+            rg.set_partitions(&parts(5));
+            let r = rg.begin_round(t(0));
+            let other_ack = ack(100 + other as u64, 0, false);
+            rg.on_ack(r, PartitionId(other), other_ack, t(0));
+            rg.on_home_report(r, PartitionId(4), false);
+            let c = rg.conclude(PartitionId(me), t(0)).unwrap();
+            assert_eq!(c.dead, vec![PartitionId(4)]);
+            assert_eq!(c.verdict, want, "p{me}'s side");
+        }
     }
 
     #[test]

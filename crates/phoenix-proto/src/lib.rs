@@ -15,7 +15,6 @@ pub mod msg;
 pub mod security;
 pub mod shared;
 pub mod topology;
-pub mod view;
 pub mod wire;
 
 pub use bulletin::{AppState, AppStatus, BulletinEntry, BulletinKey, BulletinQuery, BulletinValue};
@@ -27,5 +26,4 @@ pub use msg::{KernelMsg, MemberInfo, NodeOp, NodeServices, QueueRow, ServiceDire
 pub use security::{Action, AuthToken, Role};
 pub use shared::Shared;
 pub use topology::{ClusterTopology, PartitionSpec};
-pub use view::KernelMsgView;
 pub use wire::{encoded_size, Wire, WireVariants};

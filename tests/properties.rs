@@ -559,27 +559,6 @@ fn kernel_msg_decode_reencodes_byte_identical() {
     }
 }
 
-/// The zero-copy view agrees with the owned decoder on every variant: hot
-/// shapes parse borrowed, everything else falls back to `Other`, and
-/// `to_owned` always reproduces what `decode` would.
-#[test]
-fn kernel_msg_view_agrees_with_decode() {
-    use phoenix::proto::wire::encode;
-    use phoenix::proto::KernelMsgView;
-    let mut hot = 0usize;
-    for msg in kernel_msg_surface() {
-        let bytes = encode(&msg);
-        let view = KernelMsgView::parse(&bytes).expect("view parse");
-        hot += view.is_hot() as usize;
-        assert_eq!(view.to_owned().expect("to_owned"), msg);
-    }
-    // The fixed-shape heartbeat/probe/ping family (9 variants) plus the
-    // surface's Text-payload EsFedForward exemplar take the borrowed
-    // path; its CkReplicate exemplar carries a non-Raw payload and
-    // legitimately falls back.
-    assert_eq!(hot, 10, "hot-view coverage drifted");
-}
-
 /// Strict canonical decode: flag bytes a canonical encoder can never emit
 /// (bool/Option > 1) are rejected with `BadTag`, not silently accepted.
 /// Exemplars live here (not only in the random fuzz above) so the rejected
